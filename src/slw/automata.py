@@ -6,6 +6,13 @@ initial slices, transitions into final states carry final slices, and
 consecutive transitions carry gluable slices. Languages are sets of unit
 decompositions; the empty word is never a member.
 
+States are the integers 0..n-1 in the order a construction discovers them,
+with the initial state 0, and each state keeps its out-edges as a list in the
+order they were generated. Every construction is one call of `explore`, so
+output, `.aut` text included, is deterministic by construction: nothing is
+ordered by hash or by `repr`. Every exploration is capped by
+`RunConfig.max_states`, and the ResourceError names the construction.
+
 Automata are immutable; Boolean operations return fresh automata; the
 determinization of an automaton is memoized behind a lock so concurrent
 readers see consistent values.
@@ -32,67 +39,105 @@ def letter_base(letter) -> Slice:
 class SliceAutomaton:
     """NFA over a slice alphabet, with optional language-property flags.
 
-    `saturated` / `transitively_reduced` record properties guaranteed by the
-    construction that produced the automaton; None means unknown.
+    `adj[q]` lists the out-edges (letter, target) of state q; state 0 is
+    initial. `saturated` / `transitively_reduced` record properties guaranteed
+    by the construction that produced the automaton; None means unknown.
     """
+
+    initial = 0
 
     def __init__(self, c: int, labels: Sequence, alphabet: Sequence, initial,
                  finals: Iterable, transitions: Iterable[tuple],
                  states: Optional[Iterable] = None,
                  saturated: Optional[bool] = None,
                  transitively_reduced: Optional[bool] = None):
+        """Build from (state, letter, state) triples over any hashable state
+        names, numbered in order of first appearance: the initial state, then
+        `states`, then the endpoints of the transitions."""
+        alphabet = tuple(alphabet)
+        letters = frozenset(alphabet)
+        ids = {initial: 0}
+        for q in states or ():
+            ids.setdefault(q, len(ids))
+        edges = {}
+        for q, s, q2 in transitions:
+            if s not in letters:
+                raise InputError(f"transition letter not in the declared alphabet: {s!r}")
+            edges[ids.setdefault(q, len(ids)), s, ids.setdefault(q2, len(ids))] = None
+        adj = [[] for _ in ids]
+        for q, s, q2 in edges:
+            adj[q].append((s, q2))
+        if any(q not in ids for q in finals):
+            raise InputError("final states must be states")
+        self._set(c, labels, alphabet, adj, frozenset(ids[q] for q in finals),
+                  saturated, transitively_reduced)
+
+    def _set(self, c, labels, alphabet, adj, finals, saturated, transitively_reduced):
         self.c = c
         self.labels = tuple(labels)
-        self.alphabet = tuple(alphabet)
-        self._alphabet_set = frozenset(self.alphabet)
-        self.initial = initial
-        self.transitions = frozenset(transitions)
-        self.finals = frozenset(finals)
-        st = set(states) if states is not None else set()
-        st.add(initial)
-        for q, s, q2 in self.transitions:
-            st.add(q)
-            st.add(q2)
-        self.states = frozenset(st)
-        if not self.finals <= self.states:
-            raise InputError("final states must be states")
-        for q, s, q2 in self.transitions:
-            if s not in self._alphabet_set:
-                raise InputError(f"transition letter not in the declared alphabet: {s!r}")
+        self.alphabet = alphabet
+        self.adj = adj
+        self.finals = finals
         self.saturated = saturated
         self.transitively_reduced = transitively_reduced
         self._det = None
         self._index = None
 
-    # -- indexes ---------------------------------------------------------------
+    @classmethod
+    def _of(cls, c, labels, alphabet, adj, finals, saturated=None,
+            transitively_reduced=None) -> "SliceAutomaton":
+        a = cls.__new__(cls)
+        a._set(c, labels, alphabet, adj, finals, saturated, transitively_reduced)
+        return a
 
-    def _out(self) -> dict:
+    def with_flags(self, *, saturated: Optional[bool],
+                   transitively_reduced: Optional[bool]) -> "SliceAutomaton":
+        """The same automaton, sharing its storage, with other property flags."""
+        out = SliceAutomaton._of(self.c, self.labels, self.alphabet, self.adj, self.finals,
+                                 saturated, transitively_reduced)
+        out._det, out._index = self._det, self._index
+        return out
+
+    def map_letters(self, alphabet: Sequence, table: dict) -> "SliceAutomaton":
+        """The same states over `alphabet`, each edge on letter s replaced by
+        one edge per letter in table[s] (none drops the edge); no flags."""
+        adj = [list(dict.fromkeys((t, q2) for s, q2 in edges for t in table[s]))
+               for edges in self.adj]
+        return SliceAutomaton._of(self.c, self.labels, tuple(alphabet), adj, self.finals)
+
+    # -- read-only views ---------------------------------------------------------
+
+    @property
+    def states(self) -> range:
+        """The states 0..n-1."""
+        return range(len(self.adj))
+
+    @property
+    def transitions(self) -> tuple:
+        """All (state, letter, state) triples, by state and then in edge order."""
+        return tuple((q, s, q2) for q, edges in enumerate(self.adj) for s, q2 in edges)
+
+    def _successors(self) -> list:
+        """Per state, {letter: [targets]}; built on first use."""
         if self._index is None:
-            idx = {}
-            for q, s, q2 in self.transitions:
-                idx.setdefault(q, []).append((s, q2))
-            for q in idx:
-                idx[q].sort(key=lambda t: (_letter_key(t[0]), repr(t[1])))
-            self._index = idx
+            index = []
+            for edges in self.adj:
+                row = {}
+                for s, q2 in edges:
+                    row.setdefault(s, []).append(q2)
+                index.append(row)
+            self._index = index
         return self._index
-
-    def step(self, states: frozenset, letter) -> frozenset:
-        out = self._out()
-        nxt = set()
-        for q in states:
-            for s, q2 in out.get(q, ()):
-                if s == letter:
-                    nxt.add(q2)
-        return frozenset(nxt)
 
     # -- Def-2 validation --------------------------------------------------------
 
     def validate(self) -> list[str]:
         """Report every violated slice-automaton condition; empty iff valid."""
         report = []
-        for q, s, q2 in sorted(self.transitions, key=_trans_key):
+        transitions = self.transitions
+        for q, s, q2 in transitions:
             base = letter_base(s)
-            if q == self.initial and not base.is_initial():
+            if q == 0 and not base.is_initial():
                 report.append(
                     f"condition 1: transition out of the initial state carries a "
                     f"non-initial slice: {q!r} --{to_literal(base)}--> {q2!r}")
@@ -100,9 +145,8 @@ class SliceAutomaton:
                 report.append(
                     f"condition 2: transition into a final state carries a "
                     f"non-final slice: {q!r} --{to_literal(base)}--> {q2!r}")
-        out = self._out()
-        for q, s, q2 in sorted(self.transitions, key=_trans_key):
-            for s2, q3 in out.get(q2, ()):
+        for q, s, q2 in transitions:
+            for s2, q3 in self.adj[q2]:
                 if not can_glue(letter_base(s), letter_base(s2)):
                     report.append(
                         f"condition 3: consecutive transitions carry non-gluable slices: "
@@ -117,74 +161,61 @@ class SliceAutomaton:
         letters = tuple(u)
         if not letters:
             return False
-        cur = frozenset([self.initial])
+        cur = frozenset([0])
         for s in letters:
-            cur = self.step(cur, s)
+            cur = frozenset(q2 for q in cur for s2, q2 in self.adj[q] if s2 == s)
             if not cur:
                 return False
         return bool(cur & self.finals)
 
     def trim(self) -> "SliceAutomaton":
-        """Drop states not on any accepting path."""
-        out = self._out()
-        reach = {self.initial}
-        queue = deque([self.initial])
+        """Drop the states and edges on no accepting path; the initial state
+        stays, and the kept states keep their order."""
+        adj = self.adj
+        reach = [False] * len(adj)
+        reach[0] = True
+        queue = deque([0])
         while queue:
-            q = queue.popleft()
-            for s, q2 in out.get(q, ()):
-                if q2 not in reach:
-                    reach.add(q2)
+            for _, q2 in adj[queue.popleft()]:
+                if not reach[q2]:
+                    reach[q2] = True
                     queue.append(q2)
-        rev = {}
-        for q, s, q2 in self.transitions:
-            rev.setdefault(q2, []).append(q)
-        co = set(self.finals)
-        queue = deque(self.finals)
+        rev = [[] for _ in adj]
+        for q, edges in enumerate(adj):
+            if reach[q]:
+                for _, q2 in edges:
+                    rev[q2].append(q)
+        live = [False] * len(adj)
+        queue = deque(q for q in self.finals if reach[q])
+        for q in queue:
+            live[q] = True
         while queue:
-            q = queue.popleft()
-            for q2 in rev.get(q, ()):
-                if q2 not in co:
-                    co.add(q2)
-                    queue.append(q2)
-        live = reach & co
-        live.add(self.initial)
-        trans = [(q, s, q2) for q, s, q2 in self.transitions if q in live and q2 in live]
-        return SliceAutomaton(self.c, self.labels, self.alphabet, self.initial,
-                              self.finals & live, trans, states=live,
-                              saturated=self.saturated,
-                              transitively_reduced=self.transitively_reduced)
+            for q in rev[queue.popleft()]:
+                if not live[q]:
+                    live[q] = True
+                    queue.append(q)
+        if all(live):
+            return self
+        keep = [q for q in self.states if live[q] or q == 0]
+        ids = [-1] * len(adj)
+        for i, q in enumerate(keep):
+            ids[q] = i
+        trimmed = [[(s, ids[q2]) for s, q2 in adj[q] if live[q2]] if live[q] else []
+                   for q in keep]
+        return SliceAutomaton._of(self.c, self.labels, self.alphabet, trimmed,
+                                  frozenset(ids[q] for q in self.finals if live[q]),
+                                  self.saturated, self.transitively_reduced)
 
     def is_empty(self) -> bool:
         """True iff no nonempty decomposition is accepted."""
-        t = self.trim()
-        return not any(q2 in t.finals for _, _, q2 in t.transitions)
-
-    def relabel(self) -> "SliceAutomaton":
-        """Canonical integer state names in BFS order (deterministic serialization)."""
-        out = self._out()
-        names = {self.initial: 0}
-        queue = deque([self.initial])
-        while queue:
-            q = queue.popleft()
-            for s, q2 in out.get(q, ()):
-                if q2 not in names:
-                    names[q2] = len(names)
-                    queue.append(q2)
-        for q in sorted(self.states - set(names), key=repr):
-            names[q] = len(names)
-        trans = [(names[q], s, names[q2]) for q, s, q2 in self.transitions]
-        return SliceAutomaton(self.c, self.labels, self.alphabet, 0,
-                              {names[q] for q in self.finals}, trans,
-                              states=set(names.values()),
-                              saturated=self.saturated,
-                              transitively_reduced=self.transitively_reduced)
+        # every edge left by trim lies on an accepting path
+        return not any(self.trim().adj)
 
     # -- word enumeration ------------------------------------------------------------
 
     def enumerate_words(self, max_len: int,
                         config: RunConfig = DEFAULT_CONFIG) -> Iterator[tuple]:
         """All accepted words of length <= max_len (letters as stored)."""
-        out = self._out()
         budget = config.max_words
 
         def rec(q, word):
@@ -195,23 +226,22 @@ class SliceAutomaton:
                                     context=f"max_words={config.max_words}")
             if word and q in self.finals:
                 yield tuple(word)
-            if len(word) == max_len:
+            if len(word) >= max_len:
                 return
-            for s, q2 in out.get(q, ()):
+            for s, q2 in self.adj[q]:
                 word.append(s)
                 yield from rec(q2, word)
                 word.pop()
 
-        yield from rec(self.initial, [])
+        yield from rec(0, [])
 
     def shortest_accepted(self) -> Optional[tuple]:
         """A length-minimal accepted word, or None (BFS, deterministic)."""
-        out = self._out()
-        seen = {self.initial}
-        queue = deque([(self.initial, ())])
+        seen = {0}
+        queue = deque([(0, ())])
         while queue:
             q, word = queue.popleft()
-            for s, q2 in out.get(q, ()):
+            for s, q2 in self.adj[q]:
                 w2 = word + (s,)
                 if q2 in self.finals:
                     return w2
@@ -244,36 +274,26 @@ class SliceAutomaton:
             by_key.setdefault(g.canonical_key(), g)
         return [by_key[k] for k in sorted(by_key)]
 
-    # -- determinization (internal, memoized) ------------------------------------------
+    # -- determinization (memoized) ----------------------------------------------------
 
-    def determinize(self, config: RunConfig = DEFAULT_CONFIG) -> "_Dfa":
+    def determinize(self, config: RunConfig = DEFAULT_CONFIG) -> "SliceAutomaton":
+        """The subset automaton: deterministic, and a missing letter rejects."""
         with _det_lock:
             if self._det is not None:
                 return self._det
-        out = self._out()
-        start = frozenset([self.initial])
-        table = {}
-        finals = set()
-        queue = deque([start])
-        seen = {start}
-        while queue:
-            if len(seen) > config.max_states:
-                raise ResourceError("determinization state cap exceeded",
-                                    context=f"max_states={config.max_states}")
-            p = queue.popleft()
-            if p & self.finals:
-                finals.add(p)
+        adj, finals = self.adj, self.finals
+
+        def expand(subset):
             by_letter = {}
-            for q in p:
-                for s, q2 in out.get(q, ()):
+            for q in subset:
+                for s, q2 in adj[q]:
                     by_letter.setdefault(s, set()).add(q2)
-            for s, nxt in by_letter.items():
-                nxt = frozenset(nxt)
-                table[(p, s)] = nxt
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        dfa = _Dfa(start, table, frozenset(finals))
+            for s, targets in by_letter.items():
+                yield s, tuple(sorted(targets))
+
+        dfa = explore((0,), expand, lambda subset: not finals.isdisjoint(subset),
+                      self.c, self.labels, self.alphabet, name="determinization",
+                      config=config)
         with _det_lock:
             self._det = dfa
         return dfa
@@ -281,22 +301,21 @@ class SliceAutomaton:
     # -- serialization ------------------------------------------------------------------
 
     def to_text(self) -> str:
-        a = self.relabel()
-        header = f"slice-automaton c={a.c} alphabet={','.join(str(x) for x in a.labels)}"
-        if a.saturated:
+        header = f"slice-automaton c={self.c} alphabet={','.join(str(x) for x in self.labels)}"
+        if self.saturated:
             header += " saturated"
-        if a.transitively_reduced:
+        if self.transitively_reduced:
             header += " reduced"
         lines = [header]
-        for q in sorted(a.states):
-            flags = []
-            if q == a.initial:
-                flags.append("initial")
-            if q in a.finals:
+        for q in self.states:
+            flags = ["initial"] if q == 0 else []
+            if q in self.finals:
                 flags.append("final")
             lines.append(" ".join(["state", str(q)] + flags))
-        for q, s, q2 in sorted(a.transitions, key=_trans_key):
-            lines.append(f"trans {q} {to_literal(letter_base(s))} {q2}")
+        pos = {s: i for i, s in enumerate(self.alphabet)}
+        for q, edges in enumerate(self.adj):
+            for s, q2 in sorted(edges, key=lambda e: (pos[e[0]], e[1])):
+                lines.append(f"trans {q} {to_literal(letter_base(s))} {q2}")
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -323,7 +342,7 @@ class SliceAutomaton:
                 raise InputError(f"unknown header token {tok!r}")
         if c is None or not labels:
             raise InputError("header must declare c= and alphabet=")
-        states, initial, finals, trans = set(), None, set(), []
+        states, initial, finals, trans = [], None, set(), []
         for ln in lines[1:]:
             parts = ln.split(None, 2)
             if parts[0] == "state":
@@ -332,7 +351,7 @@ class SliceAutomaton:
                     raise InputError(f"malformed state line: {ln!r}")
                 name = rest[0]
                 flagtext = rest[1] if len(rest) > 1 else ""
-                states.add(name)
+                states.append(name)
                 if "initial" in flagtext.split():
                     if initial is not None:
                         raise InputError("multiple initial states declared")
@@ -363,24 +382,38 @@ class SliceAutomaton:
                 f"|Q|={len(self.states)}, |trans|={len(self.transitions)})")
 
 
-class _Dfa:
-    """Deterministic view used for complementation; missing letters mean reject."""
+def explore(start, expand, is_final, c: int, labels: Sequence, alphabet: Sequence, *,
+            name: str, config: RunConfig = DEFAULT_CONFIG,
+            saturated: Optional[bool] = None,
+            transitively_reduced: Optional[bool] = None) -> SliceAutomaton:
+    """The automaton of all keys reachable from `start`, built breadth-first.
 
-    __slots__ = ("start", "table", "finals")
-
-    def __init__(self, start, table, finals):
-        self.start = start
-        self.table = table
-        self.finals = finals
-
-    def step(self, state, letter):
-        """None acts as the rejecting sink."""
-        if state is None:
-            return None
-        return self.table.get((state, letter))
-
-    def accepting(self, state) -> bool:
-        return state is not None and state in self.finals
+    `expand(key)` yields (letter, next key) pairs and `is_final(key)` marks the
+    accepting keys. Keys are any hashable values; each becomes the next integer
+    state when first reached (the start is 0) and is forgotten on return.
+    Out-edges keep the order `expand` yields them, without repeats. Reaching
+    more than `config.max_states` keys raises a ResourceError naming `name`.
+    """
+    ids = {start: 0}
+    keys = [start]       # the queue: keys in state order, appended while it is read
+    adj = []
+    finals = []
+    for key in keys:
+        if is_final(key):
+            finals.append(len(adj))
+        edges = {}
+        for letter, nxt in expand(key):
+            q = ids.get(nxt)
+            if q is None:
+                q = ids[nxt] = len(keys)
+                if q >= config.max_states:
+                    raise ResourceError(f"state cap exceeded in {name}",
+                                        context=f"max_states={config.max_states}")
+                keys.append(nxt)
+            edges[letter, q] = None
+        adj.append(list(edges))
+    return SliceAutomaton._of(c, labels, tuple(alphabet), adj, frozenset(finals),
+                              saturated, transitively_reduced)
 
 
 # -- Boolean operations ------------------------------------------------------------
@@ -391,49 +424,39 @@ def _require_same_alphabet(a: SliceAutomaton, b: SliceAutomaton):
         raise InputError("operands must share the same (c, T) slice alphabet")
 
 
-def intersect(a: SliceAutomaton, b: SliceAutomaton) -> SliceAutomaton:
+def intersect(a: SliceAutomaton, b: SliceAutomaton,
+              config: RunConfig = DEFAULT_CONFIG) -> SliceAutomaton:
     """Product automaton: L = L(a) ∩ L(b)."""
     _require_same_alphabet(a, b)
-    out_b = {}
-    for q, s, q2 in b.transitions:
-        out_b.setdefault((q, s), set()).add(q2)
-    start = (a.initial, b.initial)
-    trans = []
-    seen = {start}
-    queue = deque([start])
-    a_out = a._out()
-    while queue:
-        qa, qb = queue.popleft()
-        for s, qa2 in a_out.get(qa, ()):
-            for qb2 in out_b.get((qb, s), ()):
-                trans.append(((qa, qb), s, (qa2, qb2)))
-                if (qa2, qb2) not in seen:
-                    seen.add((qa2, qb2))
-                    queue.append((qa2, qb2))
-    finals = {q for q in seen if q[0] in a.finals and q[1] in b.finals}
-    sat = True if (a.saturated and b.saturated) else None
-    tr = True if (a.transitively_reduced or b.transitively_reduced) else None
-    return SliceAutomaton(a.c, a.labels, a.alphabet, start, finals, trans, states=seen,
-                          saturated=sat, transitively_reduced=tr).trim()
+    a_adj, b_succ = a.adj, b._successors()
+
+    def expand(pair):
+        qa, qb = pair
+        row = b_succ[qb]
+        for s, qa2 in a_adj[qa]:
+            for qb2 in row.get(s, ()):
+                yield s, (qa2, qb2)
+
+    return explore((0, 0), expand, lambda p: p[0] in a.finals and p[1] in b.finals,
+                   a.c, a.labels, a.alphabet, name="intersection", config=config,
+                   saturated=True if (a.saturated and b.saturated) else None,
+                   transitively_reduced=True if (a.transitively_reduced
+                                                 or b.transitively_reduced) else None
+                   ).trim()
 
 
 def union(a: SliceAutomaton, b: SliceAutomaton) -> SliceAutomaton:
     """Disjoint union behind a fresh initial state: L = L(a) ∪ L(b)."""
     _require_same_alphabet(a, b)
-    start = ("u",)
-    trans = [((("a", q)), s, ("a", q2)) for q, s, q2 in a.transitions]
-    trans += [((("b", q)), s, ("b", q2)) for q, s, q2 in b.transitions]
-    for q, s, q2 in a.transitions:
-        if q == a.initial:
-            trans.append((start, s, ("a", q2)))
-    for q, s, q2 in b.transitions:
-        if q == b.initial:
-            trans.append((start, s, ("b", q2)))
-    finals = {("a", q) for q in a.finals} | {("b", q) for q in b.finals}
-    sat = True if (a.saturated and b.saturated) else None
-    tr = True if (a.transitively_reduced and b.transitively_reduced) else None
-    return SliceAutomaton(a.c, a.labels, a.alphabet, start, finals, trans,
-                          saturated=sat, transitively_reduced=tr).trim()
+    na = len(a.adj)
+    adj = [[(s, q + 1) for s, q in edges] for edges in a.adj]
+    adj += [[(s, q + 1 + na) for s, q in edges] for edges in b.adj]
+    adj.insert(0, adj[0] + adj[na])
+    finals = frozenset(q + 1 for q in a.finals) | frozenset(q + 1 + na for q in b.finals)
+    return SliceAutomaton._of(
+        a.c, a.labels, a.alphabet, adj, finals,
+        True if (a.saturated and b.saturated) else None,
+        True if (a.transitively_reduced and b.transitively_reduced) else None).trim()
 
 
 def difference(a: SliceAutomaton, b: SliceAutomaton,
@@ -442,25 +465,19 @@ def difference(a: SliceAutomaton, b: SliceAutomaton,
     alphabet of valid letter sequences, then intersected with a."""
     _require_same_alphabet(a, b)
     dfa = b.determinize(config)
-    start = (a.initial, dfa.start)
-    trans = []
-    seen = {start}
-    queue = deque([start])
-    a_out = a._out()
-    while queue:
-        qa, p = queue.popleft()
-        for s, qa2 in a_out.get(qa, ()):
-            p2 = dfa.step(p, s)
-            nxt = (qa2, p2)
-            trans.append(((qa, p), s, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    finals = {(qa, p) for qa, p in seen if qa in a.finals and not dfa.accepting(p)}
-    sat = True if (a.saturated and b.saturated) else None
-    tr = True if a.transitively_reduced else None
-    return SliceAutomaton(a.c, a.labels, a.alphabet, start, finals, trans, states=seen,
-                          saturated=sat, transitively_reduced=tr).trim()
+    a_adj, delta = a.adj, dfa._successors()
+
+    def expand(pair):
+        qa, p = pair
+        row = delta[p] if p >= 0 else {}     # -1 is the rejecting sink
+        for s, qa2 in a_adj[qa]:
+            p2 = row.get(s)
+            yield s, (qa2, p2[0] if p2 else -1)
+
+    return explore((0, 0), expand, lambda p: p[0] in a.finals and p[1] not in dfa.finals,
+                   a.c, a.labels, a.alphabet, name="difference", config=config,
+                   saturated=True if (a.saturated and b.saturated) else None,
+                   transitively_reduced=True if a.transitively_reduced else None).trim()
 
 
 def includes(a: SliceAutomaton, b: SliceAutomaton,
@@ -470,10 +487,11 @@ def includes(a: SliceAutomaton, b: SliceAutomaton,
     return difference(a, b, config).is_empty()
 
 
-def disjoint(a: SliceAutomaton, b: SliceAutomaton) -> bool:
+def disjoint(a: SliceAutomaton, b: SliceAutomaton,
+             config: RunConfig = DEFAULT_CONFIG) -> bool:
     """True iff L(a) ∩ L(b) = ∅. With both transitively reduced and one
     saturated, this decides poset-language disjointness as well."""
-    return intersect(a, b).is_empty()
+    return intersect(a, b, config).is_empty()
 
 
 def equivalent(a: SliceAutomaton, b: SliceAutomaton,
@@ -485,21 +503,15 @@ def from_decompositions(c: int, labels: Sequence,
                         decomps: Iterable) -> SliceAutomaton:
     """A trie-shaped automaton accepting exactly the given decompositions."""
     labels = tuple(labels)
-    alphabet = unit_alphabet(c, labels)
-    trans = set()
+    trans = []
     finals = set()
-    root = ()
-    states = {root}
     for u in decomps:
-        prefix = root
-        letters = tuple(u)
-        for s in letters:
-            nxt = prefix + (s,)
-            trans.add((prefix, s, nxt))
-            states.add(nxt)
-            prefix = nxt
+        prefix = ()
+        for s in u:
+            trans.append((prefix, s, prefix + (s,)))
+            prefix += (s,)
         finals.add(prefix)
-    return SliceAutomaton(c, labels, alphabet, root, finals, trans, states=states).relabel()
+    return SliceAutomaton(c, labels, unit_alphabet(c, labels), (), finals, trans)
 
 
 def valid_sequences(c: int, labels: Sequence) -> SliceAutomaton:
@@ -519,13 +531,3 @@ def valid_sequences(c: int, labels: Sequence) -> SliceAutomaton:
         if s.n_in == 0:
             trans.append((f"w0", s, f"w{s.n_out}"))
     return SliceAutomaton(c, labels, alphabet, start, {"w0"}, trans).trim()
-
-
-def _letter_key(s):
-    base = letter_base(s)
-    return (base.sort_key(), repr(getattr(s, "bits", "")))
-
-
-def _trans_key(t):
-    q, s, q2 = t
-    return (repr(q), _letter_key(s), repr(q2))

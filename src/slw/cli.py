@@ -38,9 +38,9 @@ def main(argv) -> int:
     if args.command is None:
         parser.print_help()
         return 3
-    config = RunConfig(max_states=args.max_states, max_enum_vertices=args.max_enum)
     log = ProofLog() if getattr(args, "emit_proof_log", None) else None
     try:
+        config = RunConfig(max_states=args.max_states, max_enum_vertices=args.max_enum)
         code = args.run(args, config, log)
         if log is not None:
             Path(args.emit_proof_log).write_text(log.to_text())
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "over width-bounded partial-order behaviors.")
     parser.add_argument("--version", action="version", version=f"slw {__version__}")
     parser.add_argument("--max-states", type=int, default=RunConfig().max_states,
-                        help="determinization state cap")
+                        help="state cap of every automaton construction")
     parser.add_argument("--max-enum", type=int, default=RunConfig().max_enum_vertices,
                         help="enumeration cap (vertices/events)")
     parser.add_argument("--output", choices=("text", "structured"), default="text")
@@ -267,6 +267,8 @@ def _cmd_aut(args, config, log) -> int:
         ok = auts[0].is_empty()
         print(str(ok).lower())
         return 0 if ok else 1
+    if args.n < 0:
+        raise InputError("--n must be >= 0")
     members = auts[0].po_members_up_to(args.n, config)
     for po in members:
         labels = ",".join(str(po.labels[v]) for v in po.vertices)

@@ -17,11 +17,10 @@ quantifier erases its variable's annotation layer.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from functools import lru_cache
 from typing import Sequence
 
-from .automata import (SliceAutomaton, difference, intersect, union)
+from .automata import SliceAutomaton, difference, explore, intersect, letter_base, union
 from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
 from . import mso
 from .mso import (And, Coverable, EdgeSource, EdgeTarget, Exists, HasLabel, InSet,
@@ -120,16 +119,16 @@ def annotated_alphabet(c: int, labels: tuple, ctx: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def well_formed(c: int, labels: tuple, ctx: tuple) -> SliceAutomaton:
+def well_formed(c: int, labels: tuple, ctx: tuple,
+                config: RunConfig = DEFAULT_CONFIG) -> SliceAutomaton:
     """Valid letter sequences in which every first-order variable is marked
     exactly once across the word."""
     alphabet = annotated_alphabet(c, labels, ctx)
     vl, el = vlike(ctx), elike(ctx)
     fo_slots = [("v", vl.index(v)) if v.sort == VERTEX else ("e", el.index(v))
                 for v in ctx if v.sort in (VERTEX, EDGE)]
-    by_width = {}
-    for s in alphabet:
-        by_width.setdefault(_base(s).n_in, []).append(s)
+    by_width = _by_width(alphabet)
+    start = ("start",)
 
     def marks(letter, slot):
         kind, idx = slot
@@ -137,41 +136,28 @@ def well_formed(c: int, labels: tuple, ctx: tuple) -> SliceAutomaton:
             return 1 if letter.vbits[idx] else 0
         return len(letter.ebits[idx])
 
-    start = ("start",)
-    trans = []
-    states = {start}
-    work = deque()
-
-    def step(src, counts, letter):
-        new = tuple(a + marks(letter, slot) for a, slot in zip(counts, fo_slots))
-        if any(m > 1 for m in new):
-            return
-        nxt = (_base(letter).n_out, new)
-        trans.append((src, letter, nxt))
-        if nxt not in states:
-            states.add(nxt)
-            work.append(nxt)
-
-    for s in by_width.get(0, ()):
-        step(start, tuple([0] * len(fo_slots)), s)
-    while work:
-        k, counts = work.popleft()
+    def expand(state):
+        k, counts = (0, (0,) * len(fo_slots)) if state == start else state
         for s in by_width.get(k, ()):
-            step((k, counts), counts, s)
-    finals = {st for st in states if st != start and st[0] == 0
-              and all(m == 1 for m in st[1])}
-    return SliceAutomaton(c, labels, alphabet, start, finals, trans,
-                          states=states).trim()
+            new = tuple(a + marks(s, slot) for a, slot in zip(counts, fo_slots))
+            if all(m <= 1 for m in new):
+                yield s, (letter_base(s).n_out, new)
+
+    return explore(start, expand,
+                   lambda st: st != start and st[0] == 0 and all(m == 1 for m in st[1]),
+                   c, labels, alphabet, name="well-formed language", config=config).trim()
 
 
-def _base(letter) -> Slice:
-    return getattr(letter, "base", letter)
+def _by_width(alphabet: tuple) -> dict:
+    by_width = {}
+    for s in alphabet:
+        by_width.setdefault(letter_base(s).n_in, []).append(s)
+    return by_width
 
 
 def _filter_letters(auto: SliceAutomaton, pred) -> SliceAutomaton:
-    trans = [(q, s, q2) for q, s, q2 in auto.transitions if pred(s)]
-    return SliceAutomaton(auto.c, auto.labels, auto.alphabet, auto.initial,
-                          auto.finals, trans, states=auto.states).trim()
+    return auto.map_letters(auto.alphabet,
+                            {s: (s,) if pred(s) else () for s in auto.alphabet}).trim()
 
 
 def cylindrify(auto: SliceAutomaton, c: int, labels: tuple, ctx: tuple) -> SliceAutomaton:
@@ -179,133 +165,90 @@ def cylindrify(auto: SliceAutomaton, c: int, labels: tuple, ctx: tuple) -> Slice
     if not ctx:
         return auto
     alphabet = annotated_alphabet(c, labels, ctx)
-    by_base = {}
+    by_base = {s: [] for s in auto.alphabet}
     for s in alphabet:
-        by_base.setdefault(s.base, []).append(s)
-    trans = []
-    for q, s, q2 in auto.transitions:
-        for ann in by_base.get(_base(s), ()):
-            trans.append((q, ann, q2))
-    return SliceAutomaton(c, labels, alphabet, auto.initial, auto.finals, trans,
-                          states=auto.states)
+        by_base[s.base].append(s)
+    return auto.map_letters(alphabet, by_base)
 
 
 # -- primitive automata for the stateful atoms -------------------------------------
 
 
-def _target_tracker(c: int, labels: tuple, ctx: tuple, yvar: Var, xvar: Var) -> SliceAutomaton:
-    """t(y,x): the edge marked y closes at the letter marked x."""
+def _tracker(c: int, labels: tuple, ctx: tuple, step, name: str,
+             config: RunConfig) -> SliceAutomaton:
+    """The automaton of a phase machine read over the annotated letters:
+    `step(phase, letter)` is the next phase, or None to reject. It starts in
+    phase "pre" and accepts in phase "done" with no channel open."""
     alphabet = annotated_alphabet(c, labels, ctx)
-    ypos, xpos = _epos(ctx, yvar), _vpos(ctx, xvar)
-    by_width = {}
-    for s in alphabet:
-        by_width.setdefault(s.base.n_in, []).append(s)
-    start = ("start", 0, "pre")
-    trans = []
-    states = {start}
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        state = queue.popleft()
+    by_width = _by_width(alphabet)
+
+    def expand(state):
         _, k, phase = state
         for s in by_width.get(k, ()):
-            base = s.base
-            ymarks = s.ebits[ypos]
-            isx = s.vbits[xpos]
-            if phase == "pre":
-                if len(ymarks) == 1:
-                    nxt_phase = ("riding", next(iter(ymarks)))
-                elif not ymarks:
-                    nxt_phase = "pre"
-                else:
-                    continue
-            elif phase == "done":
-                if ymarks:
-                    continue
-                nxt_phase = "done"
-            else:
-                if ymarks:
-                    continue
-                port = phase[1]
-                if port in base.closing_ports():
-                    if not isx:
-                        continue
-                    nxt_phase = "done"
-                else:
-                    nxt_phase = ("riding", base.bypass_map()[port])
-            nxt = ("st", base.n_out, nxt_phase)
-            trans.append((state, s, nxt))
-            states.add(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    finals = {st for st in states if st[1] == 0 and st[2] == "done"}
-    return SliceAutomaton(c, labels, alphabet, start, finals, trans, states=states)
+            nxt = step(phase, s)
+            if nxt is not None:
+                yield s, ("st", s.base.n_out, nxt)
+
+    return explore(("start", 0, "pre"), expand, lambda st: st[1] == 0 and st[2] == "done",
+                   c, labels, alphabet, name=name, config=config)
+
+
+def _target_tracker(c: int, labels: tuple, ctx: tuple, yvar: Var, xvar: Var,
+                    config: RunConfig) -> SliceAutomaton:
+    """t(y,x): the edge marked y closes at the letter marked x."""
+    ypos, xpos = _epos(ctx, yvar), _vpos(ctx, xvar)
+
+    def step(phase, s):
+        ymarks = s.ebits[ypos]
+        if phase == "pre":
+            if len(ymarks) > 1:
+                return None
+            return ("riding", next(iter(ymarks))) if ymarks else "pre"
+        if ymarks:
+            return None
+        if phase == "done":
+            return "done"
+        port = phase[1]
+        if port in s.base.closing_ports():
+            return "done" if s.vbits[xpos] else None
+        return ("riding", s.base.bypass_map()[port])
+
+    return _tracker(c, labels, ctx, step, "edge-target tracker", config)
 
 
 def _path_tracker(c: int, labels: tuple, ctx: tuple,
-                  x1: Var, xset: Var, yset: Var, x2: Var) -> SliceAutomaton:
+                  x1: Var, xset: Var, yset: Var, x2: Var,
+                  config: RunConfig) -> SliceAutomaton:
     """path(x1,X,Y,x2): the Y-marked edges form a path from the x1-marked to
     the x2-marked vertex whose internal vertices are exactly the X-marked ones.
 
     One Y-marked channel is open at any time; the pointer follows it."""
-    alphabet = annotated_alphabet(c, labels, ctx)
     p1, px, p2 = _vpos(ctx, x1), _vpos(ctx, xset), _vpos(ctx, x2)
     py = _epos(ctx, yset)
-    by_width = {}
-    for s in alphabet:
-        by_width.setdefault(s.base.n_in, []).append(s)
-    start = ("start", 0, "pre")
-    trans = []
-    states = {start}
-    queue = deque([start])
-    seen = {start}
-    while queue:
-        state = queue.popleft()
-        _, k, phase = state
-        for s in by_width.get(k, ()):
-            base = s.base
-            isx1, in_x, isx2 = s.vbits[p1], s.vbits[px], s.vbits[p2]
-            born_y = s.ebits[py]
-            nxt_phase = None
-            if phase == "pre":
-                if isx1:
-                    if in_x or isx2 or len(born_y) != 1:
-                        continue
-                    nxt_phase = ("riding", next(iter(born_y)))
-                else:
-                    if in_x or isx2 or born_y:
-                        continue
-                    nxt_phase = "pre"
-            elif phase == "done":
-                if in_x or born_y:
-                    continue
-                nxt_phase = "done"
-            else:
-                port = phase[1]
-                if port in base.closing_ports():
-                    if isx2:
-                        if in_x or born_y:
-                            continue
-                        nxt_phase = "done"
-                    elif in_x:
-                        if len(born_y) != 1:
-                            continue
-                        nxt_phase = ("riding", next(iter(born_y)))
-                    else:
-                        continue
-                else:
-                    if in_x or isx2 or born_y:
-                        continue
-                    nxt_phase = ("riding", base.bypass_map()[port])
-            nxt = ("st", base.n_out, nxt_phase)
-            trans.append((state, s, nxt))
-            states.add(nxt)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    finals = {st for st in states if st[1] == 0 and st[2] == "done"}
-    return SliceAutomaton(c, labels, alphabet, start, finals, trans, states=states)
+
+    def step(phase, s):
+        isx1, in_x, isx2 = s.vbits[p1], s.vbits[px], s.vbits[p2]
+        born_y = s.ebits[py]
+        if phase == "pre":
+            if in_x or isx2:
+                return None
+            if isx1:
+                return ("riding", next(iter(born_y))) if len(born_y) == 1 else None
+            return None if born_y else "pre"
+        if phase == "done":
+            return None if in_x or born_y else "done"
+        port = phase[1]
+        if port not in s.base.closing_ports():
+            if in_x or isx2 or born_y:
+                return None
+            return ("riding", s.base.bypass_map()[port])
+        if isx2:
+            return None if in_x or born_y else "done"
+        if in_x and len(born_y) == 1:
+            return ("riding", next(iter(born_y)))
+        return None
+
+    return _tracker(c, labels, ctx, step, "path tracker", config)
 
 
 # -- the induction ---------------------------------------------------------------------
@@ -335,10 +278,8 @@ def po_automaton(phi, c: int, labels: Sequence,
         raise InputError("po_automaton needs an order formula")
     labels = tuple(labels)
     out = intersect(compile_formula(to_graph_formula(phi), c, labels, config),
-                    universal_automaton(c, labels))
-    return SliceAutomaton(out.c, out.labels, out.alphabet, out.initial, out.finals,
-                          out.transitions, states=out.states,
-                          saturated=True, transitively_reduced=True)
+                    universal_automaton(c, labels, config), config)
+    return out.with_flags(saturated=True, transitively_reduced=True)
 
 
 def _uniquify(phi, scope: dict, counter):
@@ -372,7 +313,7 @@ def _uniquify(phi, scope: dict, counter):
 
 def _compile(phi, c: int, labels: tuple, ctx: tuple,
              config: RunConfig) -> SliceAutomaton:
-    wf = lambda: well_formed(c, labels, ctx)
+    wf = lambda: well_formed(c, labels, ctx, config)
     try:
         match phi:
             case Truth(value=v):
@@ -395,20 +336,23 @@ def _compile(phi, c: int, labels: tuple, ctx: tuple,
                 return _filter_letters(
                     wf(), lambda s: not (s.ebits[yp] and not s.vbits[xp]))
             case EdgeTarget(edge=y, vertex=x):
-                return intersect(_target_tracker(c, labels, ctx, y, x), wf())
+                return intersect(_target_tracker(c, labels, ctx, y, x, config), wf(), config)
             case PathAtom(src=a, vset=x, eset=y, dst=b):
-                return intersect(_path_tracker(c, labels, ctx, a, x, y, b), wf())
+                return intersect(_path_tracker(c, labels, ctx, a, x, y, b, config), wf(),
+                                 config)
             case Reduced():
-                return intersect(cylindrify(reduced_automaton(c, labels), c, labels, ctx), wf())
+                return intersect(
+                    cylindrify(reduced_automaton(c, labels, config), c, labels, ctx),
+                    wf(), config)
             case Coverable(count=k):
                 return intersect(
-                    cylindrify(coverable_automaton(c, labels, budget=k), c, labels, ctx),
-                    wf())
+                    cylindrify(coverable_automaton(c, labels, k, config), c, labels, ctx),
+                    wf(), config)
             case Not(body=b):
                 return difference(wf(), _compile(b, c, labels, ctx, config), config)
             case And(left=a, right=b):
                 return intersect(_compile(a, c, labels, ctx, config),
-                                 _compile(b, c, labels, ctx, config))
+                                 _compile(b, c, labels, ctx, config), config)
             case Or(left=a, right=b):
                 return union(_compile(a, c, labels, ctx, config),
                              _compile(b, c, labels, ctx, config))
@@ -431,7 +375,6 @@ def _erase(auto: SliceAutomaton, c: int, labels: tuple, outer_ctx: tuple,
            var: Var) -> SliceAutomaton:
     """Project away one variable's annotation layer."""
     inner_ctx = outer_ctx + (var,)
-    alphabet = annotated_alphabet(c, labels, outer_ctx)
     if var.sort in (VERTEX, VSET):
         drop = _vpos(inner_ctx, var)
         def down(s):
@@ -442,6 +385,5 @@ def _erase(auto: SliceAutomaton, c: int, labels: tuple, outer_ctx: tuple,
         def down(s):
             eb = s.ebits[:drop] + s.ebits[drop + 1:]
             return AnnLetter(s.base, s.vbits, eb) if outer_ctx else s.base
-    trans = [(q, down(s), q2) for q, s, q2 in auto.transitions]
-    return SliceAutomaton(c, labels, alphabet, auto.initial, auto.finals, trans,
-                          states=auto.states)
+    return auto.map_letters(annotated_alphabet(c, labels, outer_ctx),
+                            {s: (down(s),) for s in auto.alphabet})

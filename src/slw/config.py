@@ -27,18 +27,16 @@ class PreconditionError(SlwError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Caps and output options shared by oracles, compilers and the CLI.
+    """Resource caps shared by oracles, compilers and the CLI.
 
     Enumeration oracles are exponential by design; the caps make them fail
     loudly instead of hanging.
     """
 
-    max_states: int = 10**6          # per-subformula determinization cap
+    max_states: int = 10**6          # states of any one construction
     max_enum_vertices: int = 6       # enumeration oracles: largest DAG/poset
     max_enum_edges: int = 10
     max_words: int = 500_000         # language-enumeration cap (words visited)
-    output: str = "text"             # "text" | "structured"
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_states <= 0 or self.max_enum_vertices <= 0 or self.max_words <= 0:

@@ -11,15 +11,14 @@ summary, which keeps the state space finite.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from functools import lru_cache
 from typing import Optional
 
-from .automata import SliceAutomaton, difference, includes, letter_base
+from .automata import SliceAutomaton, difference, explore, includes, letter_base
 from .config import DEFAULT_CONFIG, InputError, PreconditionError, RunConfig
 from .slices import Slice, unit_alphabet, unit_decompositions
 
-START = ("start",)
+START = "start"   # the tag of the initial summary, which is never final
 
 
 @lru_cache(maxsize=None)
@@ -114,37 +113,13 @@ def _slot_assignments(slots: tuple, frontier: _Frontier):
         yield tuple(sorted(combo, key=repr))
 
 
-def _explore(c: int, labels: tuple, initial_state, expand) -> SliceAutomaton:
-    """Generic forward exploration; `expand(state)` yields (letter, next_state)."""
-    labels = tuple(labels)
-    alphabet = unit_alphabet(c, labels)
-    trans = []
-    seen = {initial_state}
-    queue = deque([initial_state])
-    finals = set()
-    while queue:
-        state = queue.popleft()
-        if state != START and _is_final_summary(state):
-            finals.add(state)
-        for letter, nxt in expand(state):
-            trans.append((state, letter, nxt))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return SliceAutomaton(c, labels, alphabet, START, finals, trans, states=seen)
-
-
 def _is_final_summary(state) -> bool:
-    channels = state[1]
-    return channels == ()
-
-
-def _state_channels(state) -> tuple:
-    return ((), frozenset()) if state == START else (state[1], state[2])
+    return state[0] != START and state[1] == ()
 
 
 @lru_cache(maxsize=None)
-def reduced_automaton(c: int, labels: tuple) -> SliceAutomaton:
+def reduced_automaton(c: int, labels: tuple,
+                      config: RunConfig = DEFAULT_CONFIG) -> SliceAutomaton:
     """All valid sequences whose composed DAG is transitively reduced.
 
     Rejects, at closure time, every edge whose source reaches the center
@@ -153,21 +128,20 @@ def reduced_automaton(c: int, labels: tuple) -> SliceAutomaton:
     groups = _letters_by_width(c, labels)
 
     def expand(state):
-        channels, reach = _state_channels(state)
+        _, channels, reach = state
         for letter in groups.get(len(channels), ()):
             fr = _Frontier(channels, reach, letter)
             if not fr.hasse_ok():
                 continue
             yield letter, ("r", fr.new_channels, fr.new_reach)
 
-    a = _explore(c, labels, START, expand).relabel()
-    return SliceAutomaton(a.c, a.labels, a.alphabet, a.initial, a.finals,
-                          a.transitions, states=a.states,
-                          saturated=None, transitively_reduced=True)
+    return explore((START, (), frozenset()), expand, _is_final_summary,
+                   c, labels, unit_alphabet(c, labels), name="reduced automaton", config=config, transitively_reduced=True)
 
 
 @lru_cache(maxsize=None)
-def coverable_automaton(c: int, labels: tuple, budget: Optional[int] = None) -> SliceAutomaton:
+def coverable_automaton(c: int, labels: tuple, budget: Optional[int] = None,
+                        config: RunConfig = DEFAULT_CONFIG) -> SliceAutomaton:
     """All valid sequences whose composed DAG can be covered by `budget` paths
     (default c), over the width-c alphabet.
 
@@ -178,23 +152,19 @@ def coverable_automaton(c: int, labels: tuple, budget: Optional[int] = None) -> 
     init_slots = tuple(["u"] * (c if budget is None else budget))
 
     def expand(state):
-        if state == START:
-            channels, slots = (), init_slots
-        else:
-            channels, slots = state[1], state[3]
+        _, channels, _, slots = state
         for letter in groups.get(len(channels), ()):
             fr = _Frontier(channels, frozenset(), letter)
             for new_slots in _slot_assignments(slots, fr):
                 yield letter, ("g", fr.new_channels, frozenset(), new_slots)
 
-    a = _explore(c, labels, START, expand).relabel()
-    return SliceAutomaton(a.c, a.labels, a.alphabet, a.initial, a.finals,
-                          a.transitions, states=a.states,
-                          saturated=True, transitively_reduced=None)
+    return explore((START, (), frozenset(), init_slots), expand, _is_final_summary,
+                   c, labels, unit_alphabet(c, labels), name="coverable automaton", config=config, saturated=True)
 
 
 @lru_cache(maxsize=None)
-def universal_automaton(c: int, labels: tuple) -> SliceAutomaton:
+def universal_automaton(c: int, labels: tuple,
+                        config: RunConfig = DEFAULT_CONFIG) -> SliceAutomaton:
     """The saturated, transitively reduced automaton of all partial orders
     whose Hasse diagram is coverable by c paths (read as Hasse-diagram words).
 
@@ -203,13 +173,9 @@ def universal_automaton(c: int, labels: tuple) -> SliceAutomaton:
     accepted.
     """
     groups = _letters_by_width(c, labels)
-    init_slots = tuple(["u"] * c)
 
     def expand(state):
-        if state == START:
-            channels, reach, slots = (), frozenset(), init_slots
-        else:
-            channels, reach, slots = state[1], state[2], state[3]
+        _, channels, reach, slots = state
         for letter in groups.get(len(channels), ()):
             fr = _Frontier(channels, reach, letter)
             if not fr.hasse_ok():
@@ -217,13 +183,13 @@ def universal_automaton(c: int, labels: tuple) -> SliceAutomaton:
             for new_slots in _slot_assignments(slots, fr):
                 yield letter, ("univ", fr.new_channels, fr.new_reach, new_slots)
 
-    a = _explore(c, labels, START, expand).relabel()
-    return SliceAutomaton(a.c, a.labels, a.alphabet, a.initial, a.finals,
-                          a.transitions, states=a.states,
-                          saturated=True, transitively_reduced=True)
+    return explore((START, (), frozenset(), ("u",) * c), expand, _is_final_summary,
+                   c, labels, unit_alphabet(c, labels), name="universal automaton",
+                   config=config, saturated=True, transitively_reduced=True)
 
 
-def transitive_reduce_automaton(a: SliceAutomaton) -> SliceAutomaton:
+def transitive_reduce_automaton(a: SliceAutomaton,
+                                config: RunConfig = DEFAULT_CONFIG) -> SliceAutomaton:
     """An automaton denoting the Hasse diagrams of a's posets.
 
     Simulates a while tagging each open channel real or ghost (guessed at
@@ -237,22 +203,11 @@ def transitive_reduce_automaton(a: SliceAutomaton) -> SliceAutomaton:
     if problems:
         raise InputError("transitive reduction needs a valid slice automaton: "
                          + problems[0])
-    labels = tuple(a.labels)
-    alphabet = unit_alphabet(a.c, labels)
-    a_out = a._out()
-    init = ("tr", a.initial, (), frozenset(), ())
-    trans = []
-    seen = {init}
-    queue = deque([init])
-    finals = set()
-    while queue:
-        state = queue.popleft()
-        _, q, channels, reach, tags = state
-        if q in a.finals and channels == ():
-            finals.add(state)
-        for s, q2 in a_out.get(q, ()):
-            letter = letter_base(s)
-            fr = _Frontier(channels, reach, letter)
+
+    def expand(state):
+        q, channels, reach, tags = state
+        for s, q2 in a.adj[q]:
+            fr = _Frontier(channels, reach, letter_base(s))
             if not _tags_consistent(fr, tags):
                 continue
             out_letter, bypass_tag_slots = _emit_reduced_letter(fr, tags)
@@ -260,16 +215,13 @@ def transitive_reduce_automaton(a: SliceAutomaton) -> SliceAutomaton:
                 new_tags = list(bypass_tag_slots)
                 for o, t in zip(fr.born_ports, born_tags):
                     new_tags[o - 1] = t
-                final_letter = _attach_born(out_letter, fr, born_tags)
-                nxt = ("tr", q2, fr.new_channels, fr.new_reach, tuple(new_tags))
-                trans.append((state, final_letter, nxt))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    out = SliceAutomaton(a.c, labels, alphabet, init, finals, trans, states=seen).trim().relabel()
-    return SliceAutomaton(out.c, out.labels, out.alphabet, out.initial, out.finals,
-                          out.transitions, states=out.states,
-                          saturated=None, transitively_reduced=True)
+                yield (_attach_born(out_letter, fr, born_tags),
+                       (q2, fr.new_channels, fr.new_reach, tuple(new_tags)))
+
+    return explore((0, (), frozenset(), ()), expand,
+                   lambda state: state[0] in a.finals and state[1] == (),
+                   a.c, a.labels, unit_alphabet(a.c, a.labels),
+                   name="transitive reduction", config=config, transitively_reduced=True).trim()
 
 
 def _tags_consistent(fr: _Frontier, tags: tuple) -> bool:
@@ -339,10 +291,9 @@ def poset_complement(a: SliceAutomaton, config: RunConfig = DEFAULT_CONFIG) -> S
     decided exactly when unknown; saturation relies on the construction flag.
     """
     if a.transitively_reduced is None:
-        a = SliceAutomaton(a.c, a.labels, a.alphabet, a.initial, a.finals,
-                           a.transitions, states=a.states, saturated=a.saturated,
-                           transitively_reduced=includes(a, reduced_automaton(a.c, a.labels),
-                                                         config))
+        a = a.with_flags(saturated=a.saturated,
+                         transitively_reduced=includes(a, reduced_automaton(a.c, a.labels, config),
+                                                       config))
     if not a.transitively_reduced:
         raise PreconditionError(
             "poset complement requires a transitively reduced automaton; "
@@ -351,7 +302,7 @@ def poset_complement(a: SliceAutomaton, config: RunConfig = DEFAULT_CONFIG) -> S
         raise PreconditionError(
             "poset complement requires a saturated automaton (construction flag); "
             "verify with check_saturated_upto or rebuild via a saturating construction")
-    return difference(universal_automaton(a.c, a.labels), a, config)
+    return difference(universal_automaton(a.c, a.labels, config), a, config)
 
 
 def check_saturated_upto(a: SliceAutomaton, n: int,

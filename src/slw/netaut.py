@@ -23,8 +23,8 @@ the chosen semantics.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from .automata import SliceAutomaton, intersect
+
+from .automata import SliceAutomaton, explore, intersect
 from .config import DEFAULT_CONFIG, InputError, RunConfig
 from .constructions import _Frontier, _letters_by_width, universal_automaton
 from .ptnet import PtNet
@@ -41,45 +41,31 @@ def net_automaton(net: PtNet, c: int, sem: str,
     """
     if sem not in ("ex", "cau"):
         raise InputError(f"semantics must be 'ex' or 'cau', not {sem!r}")
-    raw = _token_game_automaton(net, c, sem)
-    out = intersect(raw, universal_automaton(c, tuple(net.transitions)))
-    return SliceAutomaton(out.c, out.labels, out.alphabet, out.initial, out.finals,
-                          out.transitions, states=out.states,
-                          saturated=True, transitively_reduced=True)
+    raw = _token_game_automaton(net, c, sem, config)
+    out = intersect(raw, universal_automaton(c, tuple(net.transitions), config), config)
+    return out.with_flags(saturated=True, transitively_reduced=True)
 
 
-def _token_game_automaton(net: PtNet, c: int, sem: str) -> SliceAutomaton:
+def _token_game_automaton(net: PtNet, c: int, sem: str, config: RunConfig) -> SliceAutomaton:
     labels = tuple(net.transitions)
-    alphabet = unit_alphabet(c, labels)
     groups = _letters_by_width(c, labels)
     causal = sem == "cau"
 
-    init_tokens = tuple(sorted(
-        ((i, True, frozenset(), frozenset()), p.tokens)
-        for i, p in enumerate(net.places) if p.tokens > 0))
-    start = ((), frozenset(), init_tokens)
-    trans = []
-    seen = {start}
-    queue = deque([start])
-    finals = set()
-    while queue:
-        state = queue.popleft()
+    def expand(state):
         channels, reach, tokens = state
-        if channels == ():
-            finals.add(state)
         for letter in groups.get(len(channels), ()):
-            t = letter.label
             fr = _Frontier(channels, reach, letter)
             if not fr.hasse_ok():
                 continue
             closing = frozenset(fr.closing_ports)
-            for new_tokens in _firings(net, tokens, t, fr, closing, causal):
-                nxt = (fr.new_channels, fr.new_reach, new_tokens)
-                trans.append((state, letter, nxt))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-    return SliceAutomaton(c, labels, alphabet, start, finals, trans, states=seen)
+            for new_tokens in _firings(net, tokens, letter.label, fr, closing, causal):
+                yield letter, (fr.new_channels, fr.new_reach, new_tokens)
+
+    init_tokens = tuple(sorted(
+        ((i, True, frozenset(), frozenset()), p.tokens)
+        for i, p in enumerate(net.places) if p.tokens > 0))
+    return explore(((), frozenset(), init_tokens), expand, lambda state: state[0] == (),
+                   c, labels, unit_alphabet(c, labels), name="token game", config=config)
 
 
 def _firings(net: PtNet, tokens: tuple, t, fr: _Frontier, closing: frozenset,

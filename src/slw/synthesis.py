@@ -105,17 +105,18 @@ def candidate_places(labels: Sequence, b: int):
 
 
 @lru_cache(maxsize=None)
-def _probe_automaton(place_key, labels: tuple, b: int, c: int, sem: str) -> SliceAutomaton:
+def _probe_automaton(place_key, labels: tuple, b: int, c: int, sem: str,
+                     config: RunConfig) -> SliceAutomaton:
     tokens, puts, takes = place_key
     probe = PtNet(labels, [Place(tokens, dict(puts), dict(takes))],
                   bound=b, name="probe", check_transitions=False)
-    return net_automaton(probe, c, sem)
+    return net_automaton(probe, c, sem, config)
 
 
 def feasible_place(place: Place, spec: SynthesisSpec,
                    config: RunConfig = DEFAULT_CONFIG) -> bool:
     """True iff the single-place probe net admits every specified behavior."""
-    probe = _probe_automaton(place.key(), spec.labels, spec.b, spec.c, spec.sem)
+    probe = _probe_automaton(place.key(), spec.labels, spec.b, spec.c, spec.sem, config)
     return includes(spec.automaton, probe, config)
 
 
@@ -170,7 +171,7 @@ def separate(spec: SynthesisSpec, forbidden: SliceAutomaton,
     if net is None:
         return None
     achieved = net_automaton(net, spec.c, spec.sem, config)
-    clean = disjoint(achieved, forbidden)
+    clean = disjoint(achieved, forbidden, config)
     if log:
         log.step("synthesized behavior avoids the forbidden language",
                  "syntactic disjointness of saturated reduced automata", clean)
@@ -189,7 +190,7 @@ def verify(net: PtNet, phi: Formula, c: int, sem: str,
     labels = tuple(net.transitions)
     spec_aut = po_automaton(phi, c, labels, config)
     net_aut = net_automaton(net, c, sem, config)
-    both = intersect(net_aut, spec_aut)
+    both = intersect(net_aut, spec_aut, config)
     is_disjoint = both.is_empty()
     net_minus_spec = difference(net_aut, spec_aut, config)
     net_in_spec = net_minus_spec.is_empty()
@@ -217,7 +218,7 @@ def synth_from_mso(phi: Formula, labels: Sequence, b: int, r: int, c: int, sem: 
                    config: RunConfig = DEFAULT_CONFIG,
                    log: Optional[ProofLog] = None) -> Optional[PtNet]:
     """Minimal (b,r)-bounded net containing every c-partial order satisfying phi."""
-    labels = tuple(labels)
+    labels = tuple(sorted(labels))  # the order of PtNet.transitions
     spec = SynthesisSpec(po_automaton(phi, c, labels, config), c, b, r, sem, labels)
     if log:
         log.step("specification automaton from formula",
@@ -232,7 +233,7 @@ def safest_subsystem(net: PtNet, phi: Formula, b: int, r: int, c: int, sem: str,
     the original net's behavior."""
     labels = tuple(net.transitions)
     net_aut = net_automaton(net, c, sem, config)
-    target = intersect(po_automaton(phi, c, labels, config), net_aut)
+    target = intersect(po_automaton(phi, c, labels, config), net_aut, config)
     forbidden = poset_complement(net_aut, config)
     if log:
         log.step("target language", "product of formula and behavior automata", "built")
@@ -248,7 +249,7 @@ def repair(net: PtNet, phi: Formula, psi: Formula, b: int, r: int, c: int, sem: 
     everywhere."""
     labels = tuple(net.transitions)
     net_aut = net_automaton(net, c, sem, config)
-    target = intersect(po_automaton(phi, c, labels, config), net_aut)
+    target = intersect(po_automaton(phi, c, labels, config), net_aut, config)
     forbidden = poset_complement(po_automaton(psi, c, labels, config), config)
     if log:
         log.step("target language", "product of keep-formula and behavior automata", "built")
@@ -266,10 +267,10 @@ def synth_from_contract(phi_yes: Formula, phi_no: Formula, labels: Sequence,
 
     The contract hypothesis (the two languages are disjoint) is checked first
     and rejected with a witness poset when violated."""
-    labels = tuple(labels)
+    labels = tuple(sorted(labels))  # the order of PtNet.transitions
     yes_aut = po_automaton(phi_yes, c, labels, config)
     no_aut = po_automaton(phi_no, c, labels, config)
-    overlap = intersect(yes_aut, no_aut)
+    overlap = intersect(yes_aut, no_aut, config)
     if not overlap.is_empty():
         witness = _witness_poset(overlap)
         raise PreconditionError(

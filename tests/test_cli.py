@@ -1,13 +1,21 @@
 """The slw command-line interface: subcommands, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import slw
 from slw.cli import main
 
 from conftest import make_fixture_nets
 from slw import corpus
 
 N1_TEXT = make_fixture_nets()["N1"].to_text()
+SRC = str(Path(slw.__file__).resolve().parent.parent)
+CLI = "import sys; from slw.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 @pytest.fixture()
@@ -129,3 +137,72 @@ def test_graph_formula_where_order_expected(files, capsys):
     net = write("n1.net", N1_TEXT)
     psi = write("graph.mso", corpus.SOME_EDGE)
     assert main(["verify", "--net", net, "--mso", psi, "--c", "1", "--sem", "ex"]) == 3
+
+
+def _run_cli(args, cwd, seed="0"):
+    """The CLI in a fresh interpreter, so that PYTHONHASHSEED takes effect."""
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-c", CLI, *args], cwd=cwd, env=env,
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("args", [
+    ["--max-states", "0", "net-automaton", "--net", "n1.net", "--c", "1", "--sem", "ex"],
+    ["aut", "members", "n1.aut", "--n", "-1"],
+])
+def test_bad_arguments_exit_three_without_traceback(files, args):
+    write, tmp = files
+    write("n1.net", N1_TEXT)
+    assert main(["net-automaton", "--net", str(tmp / "n1.net"), "--c", "1", "--sem", "ex",
+                 "-o", str(tmp / "n1.aut")]) == 0
+    result = _run_cli(args, tmp)
+    assert result.returncode == 3
+    assert b"Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("command", ["synth", "contract"])
+def test_alphabet_order_does_not_matter(files, command):
+    write, tmp = files
+    alt = write("alt.mso", corpus.ALTERNATING_AB)
+    aa = write("aa.mso", corpus.CONSECUTIVE_AA)
+    spec = {"synth": ["--mso", alt], "contract": ["--yes", alt, "--no", aa]}[command]
+    texts = []
+    for alphabet in ("a,b", "b,a"):
+        out = str(tmp / f"{alphabet}.net")
+        assert main([command, *spec, "--alphabet", alphabet, "--b", "1", "--c", "1",
+                     "--sem", "ex", "-o", out]) == 0
+        texts.append(open(out, "rb").read())
+    assert texts[0] == texts[1]
+
+
+def test_output_does_not_depend_on_hash_seed(tmp_path):
+    nets = make_fixture_nets()
+    for name in ("N0", "N1", "N2"):
+        (tmp_path / f"{name}.net").write_text(nets[name].to_text())
+    (tmp_path / "total.mso").write_text(corpus.TOTAL_ORDER)
+    outputs = []
+    for seed in ("1", "2"):
+        out = {}
+        for name in ("N1", "N2"):
+            result = _run_cli(["net-automaton", "--net", f"{name}.net", "--c", "2",
+                               "--sem", "ex"], tmp_path, seed)
+            assert result.returncode == 0, result.stderr
+            (tmp_path / f"{name}.aut").write_bytes(result.stdout)
+            out[name] = result.stdout
+        result = _run_cli(["aut", "intersect", "N1.aut", "N2.aut"], tmp_path, seed)
+        assert result.returncode == 0, result.stderr
+        out["intersect"] = result.stdout
+        result = _run_cli(["--output", "structured", "verify", "--net", "N0.net",
+                           "--mso", "total.mso", "--c", "2", "--sem", "ex"], tmp_path, seed)
+        assert result.returncode == 1, result.stderr
+        out["verify"] = result.stdout
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_state_cap_names_the_construction(files, capsys):
+    write, _ = files
+    net = write("n2.net", make_fixture_nets()["N2"].to_text())
+    assert main(["--max-states", "10", "net-automaton", "--net", net, "--c", "2",
+                 "--sem", "ex"]) == 2
+    assert "token game" in capsys.readouterr().err
