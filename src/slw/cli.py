@@ -54,6 +54,9 @@ def main(argv) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
+        return 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -275,3 +278,7 @@ def _cmd_aut(args, config, log) -> int:
         order = ";".join(f"{u}<{v}" for u, v in sorted(po.order, key=repr))
         print(f"poset vertices={len(po.vertices)} labels={labels} order={order}")
     return 0
+
+
+if __name__ == "__main__":
+    entry()

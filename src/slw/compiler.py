@@ -11,14 +11,17 @@ The induction: atoms become primitive automata intersected with the
 well-formed language (valid letter sequences with exactly-one marks per
 first-order variable); conjunction and disjunction become product and union;
 negation is complement relative to the well-formed language; an existential
-quantifier erases its variable's annotation layer.
+quantifier erases its variable's annotation layer. Variables are resolved
+lexically: an atom reads the layer of its variable's innermost binder, so
+shadowing needs no renaming.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Sequence
+from operator import add
+from typing import NamedTuple, Sequence
 
 from .automata import SliceAutomaton, difference, explore, intersect, letter_base, union
 from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
@@ -30,116 +33,78 @@ from .constructions import coverable_automaton, reduced_automaton, universal_aut
 from .slices import Slice, unit_alphabet
 
 
-class AnnLetter:
+class AnnLetter(NamedTuple):
     """A unit slice annotated with variable-membership marks."""
-
-    __slots__ = ("base", "vbits", "ebits", "_hash")
-
-    def __init__(self, base: Slice, vbits: tuple, ebits: tuple):
-        self.base = base
-        self.vbits = vbits
-        self.ebits = ebits
-        self._hash = hash((base, vbits, ebits))
-
-    # Frontier geometry delegates to the base slice (gluability, Def-2 checks).
-    @property
-    def n_in(self):
-        return self.base.n_in
-
-    @property
-    def n_out(self):
-        return self.base.n_out
-
-    def is_initial(self):
-        return self.base.is_initial()
-
-    def is_final(self):
-        return self.base.is_final()
-
-    def __eq__(self, other):
-        return (isinstance(other, AnnLetter) and self.base == other.base
-                and self.vbits == other.vbits and self.ebits == other.ebits)
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def sort_key(self):
-        return (self.base.sort_key(), self.vbits,
-                tuple(tuple(sorted(s)) for s in self.ebits))
-
-    def __repr__(self):
-        return f"AnnLetter({self.base!r}, v={self.vbits}, e={self.ebits})"
+    base: Slice
+    vbits: tuple
+    ebits: tuple
 
 
-def vlike(ctx: tuple) -> tuple:
-    return tuple(v for v in ctx if v.sort in (VERTEX, VSET))
+_VLIKE, _ELIKE = (VERTEX, VSET), (EDGE, ESET)
 
 
-def elike(ctx: tuple) -> tuple:
-    return tuple(v for v in ctx if v.sort in (EDGE, ESET))
+def _sorts(ctx: tuple) -> tuple:
+    """The sort signature of a context. Its annotated alphabet and
+    well-formed language depend on nothing else, so they are cached on it."""
+    return tuple(v.sort for v in ctx)
 
 
-def _vpos(ctx: tuple, var: Var) -> int:
-    return vlike(ctx).index(var)
+def _layer(sorts: tuple, i: int) -> int:
+    """The annotation layer of context position i: vertex-like variables
+    index `vbits`, edge-like ones `ebits`, both in binding order."""
+    kinds = _VLIKE if sorts[i] in _VLIKE else _ELIKE
+    return sum(1 for s in sorts[:i] if s in kinds)
 
 
-def _epos(ctx: tuple, var: Var) -> int:
-    return elike(ctx).index(var)
+def _pos(ctx: tuple, var: Var) -> int:
+    """The annotation layer of var's innermost binder in ctx."""
+    return _layer(_sorts(ctx), max(i for i, v in enumerate(ctx) if v == var))
 
 
 @lru_cache(maxsize=None)
-def annotated_alphabet(c: int, labels: tuple, ctx: tuple) -> tuple:
-    """The (c, T) unit alphabet with one annotation layer per context variable.
+def annotated_alphabet(c: int, labels: tuple, sorts: tuple) -> tuple:
+    """The (c, T) unit alphabet with one annotation layer per variable of a
+    context with these sorts.
 
     First-order edge variables mark at most one born edge per letter; their
     global exactly-one constraint is the well-formed language's job.
     """
     base = unit_alphabet(c, labels)
-    if not ctx:
+    if not sorts:
         return base
-    nv = len(vlike(ctx))
-    evars = elike(ctx)
+    nv = sum(1 for s in sorts if s in _VLIKE)
     letters = []
     for s in base:
         born = s.born_ports()
-        per_var = []
-        for v in evars:
-            if v.sort == EDGE:
-                per_var.append([frozenset()] + [frozenset([o]) for o in born])
-            else:
-                per_var.append([frozenset(sub) for r in range(len(born) + 1)
-                                for sub in itertools.combinations(born, r)])
-        for vbits in itertools.product((False, True), repeat=nv):
-            for ebits in itertools.product(*per_var):
-                letters.append(AnnLetter(s, vbits, tuple(ebits)))
-    return tuple(sorted(letters))
+        per_var = [[frozenset()] + [frozenset([o]) for o in born] if sort == EDGE
+                   else [frozenset(sub) for r in range(len(born) + 1)
+                         for sub in itertools.combinations(born, r)]
+                   for sort in sorts if sort in _ELIKE]
+        letters += [AnnLetter(s, vbits, ebits)
+                    for vbits in itertools.product((False, True), repeat=nv)
+                    for ebits in itertools.product(*per_var)]
+    return tuple(sorted(letters, key=lambda a: (a.base.sort_key(), a.vbits,
+                                                tuple(tuple(sorted(m)) for m in a.ebits))))
 
 
 @lru_cache(maxsize=None)
-def well_formed(c: int, labels: tuple, ctx: tuple,
+def well_formed(c: int, labels: tuple, sorts: tuple,
                 config: RunConfig = DEFAULT_CONFIG) -> SliceAutomaton:
     """Valid letter sequences in which every first-order variable is marked
     exactly once across the word."""
-    alphabet = annotated_alphabet(c, labels, ctx)
-    vl, el = vlike(ctx), elike(ctx)
-    fo_slots = [("v", vl.index(v)) if v.sort == VERTEX else ("e", el.index(v))
-                for v in ctx if v.sort in (VERTEX, EDGE)]
-    by_width = _by_width(alphabet)
+    alphabet = annotated_alphabet(c, labels, sorts)
+    fo = [(sort == VERTEX, _layer(sorts, i))
+          for i, sort in enumerate(sorts) if sort in (VERTEX, EDGE)]
+    by_width = {}
+    for s in alphabet:
+        marks = tuple(int(s.vbits[j]) if vertex else len(s.ebits[j]) for vertex, j in fo)
+        by_width.setdefault(letter_base(s).n_in, []).append((s, marks))
     start = ("start",)
 
-    def marks(letter, slot):
-        kind, idx = slot
-        if kind == "v":
-            return 1 if letter.vbits[idx] else 0
-        return len(letter.ebits[idx])
-
     def expand(state):
-        k, counts = (0, (0,) * len(fo_slots)) if state == start else state
-        for s in by_width.get(k, ()):
-            new = tuple(a + marks(s, slot) for a, slot in zip(counts, fo_slots))
+        k, counts = (0, (0,) * len(fo)) if state == start else state
+        for s, marks in by_width.get(k, ()):
+            new = tuple(map(add, counts, marks))
             if all(m <= 1 for m in new):
                 yield s, (letter_base(s).n_out, new)
 
@@ -160,11 +125,12 @@ def _filter_letters(auto: SliceAutomaton, pred) -> SliceAutomaton:
                             {s: (s,) if pred(s) else () for s in auto.alphabet}).trim()
 
 
-def cylindrify(auto: SliceAutomaton, c: int, labels: tuple, ctx: tuple) -> SliceAutomaton:
-    """Lift an automaton over base letters to the annotated alphabet of ctx."""
-    if not ctx:
+def cylindrify(auto: SliceAutomaton, c: int, labels: tuple, sorts: tuple) -> SliceAutomaton:
+    """Lift an automaton over base letters to the annotated alphabet of a
+    context with these sorts."""
+    if not sorts:
         return auto
-    alphabet = annotated_alphabet(c, labels, ctx)
+    alphabet = annotated_alphabet(c, labels, sorts)
     by_base = {s: [] for s in auto.alphabet}
     for s in alphabet:
         by_base[s.base].append(s)
@@ -179,7 +145,7 @@ def _tracker(c: int, labels: tuple, ctx: tuple, step, name: str,
     """The automaton of a phase machine read over the annotated letters:
     `step(phase, letter)` is the next phase, or None to reject. It starts in
     phase "pre" and accepts in phase "done" with no channel open."""
-    alphabet = annotated_alphabet(c, labels, ctx)
+    alphabet = annotated_alphabet(c, labels, _sorts(ctx))
     by_width = _by_width(alphabet)
 
     def expand(state):
@@ -196,7 +162,7 @@ def _tracker(c: int, labels: tuple, ctx: tuple, step, name: str,
 def _target_tracker(c: int, labels: tuple, ctx: tuple, yvar: Var, xvar: Var,
                     config: RunConfig) -> SliceAutomaton:
     """t(y,x): the edge marked y closes at the letter marked x."""
-    ypos, xpos = _epos(ctx, yvar), _vpos(ctx, xvar)
+    ypos, xpos = _pos(ctx, yvar), _pos(ctx, xvar)
 
     def step(phase, s):
         ymarks = s.ebits[ypos]
@@ -223,8 +189,7 @@ def _path_tracker(c: int, labels: tuple, ctx: tuple,
     the x2-marked vertex whose internal vertices are exactly the X-marked ones.
 
     One Y-marked channel is open at any time; the pointer follows it."""
-    p1, px, p2 = _vpos(ctx, x1), _vpos(ctx, xset), _vpos(ctx, x2)
-    py = _epos(ctx, yset)
+    p1, px, p2, py = (_pos(ctx, v) for v in (x1, xset, x2, yset))
 
     def step(phase, s):
         isx1, in_x, isx2 = s.vbits[p1], s.vbits[px], s.vbits[p2]
@@ -264,9 +229,7 @@ def compile_formula(phi, c: int, labels: Sequence,
     if mso.free_vars(phi):
         names = sorted(v.name for v in mso.free_vars(phi))
         raise InputError(f"compilation needs a closed formula; free: {names}")
-    labels = tuple(labels)
-    phi = _uniquify(phi, {}, itertools.count(1))
-    return _compile(phi, c, labels, (), config)
+    return _compile(phi, c, tuple(labels), (), config)
 
 
 def po_automaton(phi, c: int, labels: Sequence,
@@ -282,38 +245,10 @@ def po_automaton(phi, c: int, labels: Sequence,
     return out.with_flags(saturated=True, transitively_reduced=True)
 
 
-def _uniquify(phi, scope: dict, counter):
-    """Alpha-rename bound variables so contexts never shadow."""
-    match phi:
-        case Exists(var=v, body=b):
-            fresh = Var(f"{v.name}_{next(counter)}", v.sort)
-            inner = dict(scope)
-            inner[v] = fresh
-            return Exists(fresh, _uniquify(b, inner, counter))
-        case Not(body=b):
-            return Not(_uniquify(b, scope, counter))
-        case And(left=a, right=b):
-            return And(_uniquify(a, scope, counter), _uniquify(b, scope, counter))
-        case Or(left=a, right=b):
-            return Or(_uniquify(a, scope, counter), _uniquify(b, scope, counter))
-        case InSet(elem=e, coll=cl):
-            return InSet(scope.get(e, e), scope.get(cl, cl))
-        case HasLabel(vertex=v, label=lab):
-            return HasLabel(scope.get(v, v), lab)
-        case EdgeSource(edge=y, vertex=x):
-            return EdgeSource(scope.get(y, y), scope.get(x, x))
-        case EdgeTarget(edge=y, vertex=x):
-            return EdgeTarget(scope.get(y, y), scope.get(x, x))
-        case PathAtom(src=a, vset=x, eset=y, dst=b):
-            return PathAtom(scope.get(a, a), scope.get(x, x),
-                            scope.get(y, y), scope.get(b, b))
-        case _:
-            return phi
-
-
 def _compile(phi, c: int, labels: tuple, ctx: tuple,
              config: RunConfig) -> SliceAutomaton:
-    wf = lambda: well_formed(c, labels, ctx, config)
+    sorts = _sorts(ctx)
+    wf = lambda: well_formed(c, labels, sorts, config)
     try:
         match phi:
             case Truth(value=v):
@@ -322,17 +257,16 @@ def _compile(phi, c: int, labels: tuple, ctx: tuple,
                 base = wf()
                 return SliceAutomaton(c, labels, base.alphabet, base.initial, (), ())
             case InSet(elem=e, coll=cl):
+                ep, cp = _pos(ctx, e), _pos(ctx, cl)
                 if e.sort == VERTEX:
-                    ep, cp = _vpos(ctx, e), _vpos(ctx, cl)
                     return _filter_letters(wf(), lambda s: not (s.vbits[ep] and not s.vbits[cp]))
-                ep, cp = _epos(ctx, e), _epos(ctx, cl)
                 return _filter_letters(wf(), lambda s: s.ebits[ep] <= s.ebits[cp])
             case HasLabel(vertex=v, label=lab):
-                vp = _vpos(ctx, v)
+                vp = _pos(ctx, v)
                 return _filter_letters(
                     wf(), lambda s: not (s.vbits[vp] and s.base.label != lab))
             case EdgeSource(edge=y, vertex=x):
-                yp, xp = _epos(ctx, y), _vpos(ctx, x)
+                yp, xp = _pos(ctx, y), _pos(ctx, x)
                 return _filter_letters(
                     wf(), lambda s: not (s.ebits[yp] and not s.vbits[xp]))
             case EdgeTarget(edge=y, vertex=x):
@@ -342,11 +276,11 @@ def _compile(phi, c: int, labels: tuple, ctx: tuple,
                                  config)
             case Reduced():
                 return intersect(
-                    cylindrify(reduced_automaton(c, labels, config), c, labels, ctx),
+                    cylindrify(reduced_automaton(c, labels, config), c, labels, sorts),
                     wf(), config)
             case Coverable(count=k):
                 return intersect(
-                    cylindrify(coverable_automaton(c, labels, k, config), c, labels, ctx),
+                    cylindrify(coverable_automaton(c, labels, k, config), c, labels, sorts),
                     wf(), config)
             case Not(body=b):
                 return difference(wf(), _compile(b, c, labels, ctx, config), config)
@@ -358,7 +292,7 @@ def _compile(phi, c: int, labels: tuple, ctx: tuple,
                              _compile(b, c, labels, ctx, config))
             case Exists(var=v, body=b):
                 inner = _compile(b, c, labels, ctx + (v,), config)
-                return _erase(inner, c, labels, ctx, v).trim()
+                return _erase(inner, c, labels, sorts, v.sort).trim()
         raise InputError(f"not a compilable formula node: {phi!r}")
     except ResourceError as err:
         if err.context and "subformula" in err.context:
@@ -371,19 +305,14 @@ def _clip(text: str, n: int = 80) -> str:
     return text if len(text) <= n else text[: n - 3] + "..."
 
 
-def _erase(auto: SliceAutomaton, c: int, labels: tuple, outer_ctx: tuple,
-           var: Var) -> SliceAutomaton:
-    """Project away one variable's annotation layer."""
-    inner_ctx = outer_ctx + (var,)
-    if var.sort in (VERTEX, VSET):
-        drop = _vpos(inner_ctx, var)
-        def down(s):
-            vb = s.vbits[:drop] + s.vbits[drop + 1:]
-            return AnnLetter(s.base, vb, s.ebits) if outer_ctx else s.base
+def _erase(auto: SliceAutomaton, c: int, labels: tuple, sorts: tuple,
+           sort: str) -> SliceAutomaton:
+    """Project away the annotation layer of the innermost variable, of the
+    given sort, bound inside a context with these sorts."""
+    drop = _layer(sorts + (sort,), len(sorts))
+    if sort in _VLIKE:
+        down = lambda s: s._replace(vbits=s.vbits[:drop] + s.vbits[drop + 1:])
     else:
-        drop = _epos(inner_ctx, var)
-        def down(s):
-            eb = s.ebits[:drop] + s.ebits[drop + 1:]
-            return AnnLetter(s.base, s.vbits, eb) if outer_ctx else s.base
-    return auto.map_letters(annotated_alphabet(c, labels, outer_ctx),
-                            {s: (down(s),) for s in auto.alphabet})
+        down = lambda s: s._replace(ebits=s.ebits[:drop] + s.ebits[drop + 1:])
+    return auto.map_letters(annotated_alphabet(c, labels, sorts),
+                            {s: (down(s) if sorts else s.base,) for s in auto.alphabet})

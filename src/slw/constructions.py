@@ -85,7 +85,8 @@ def _slot_assignments(slots: tuple, frontier: _Frontier):
     Slots riding a closing channel must continue onto a born channel or
     finish; unstarted slots may start at the center; every born channel must
     end up ridden; a center without closing channels must be visited by a
-    starter.
+    starter. Slot tuples are sorted ("f" < "u" < ("r", k) by k) and each is
+    yielded once.
     """
     closing = set(frontier.closing_ports)
     born = frontier.born_ports
@@ -101,6 +102,7 @@ def _slot_assignments(slots: tuple, frontier: _Frontier):
                 options.append(("f",) + tuple(("r", o) for o in born))
             else:
                 options.append((("r", frontier.port_map[port]),))
+    seen = set()
     for combo in itertools.product(*options):
         ridden = {st[1] for st in combo if st != "f" and st != "u"}
         if any(o not in ridden for o in born):
@@ -110,7 +112,14 @@ def _slot_assignments(slots: tuple, frontier: _Frontier):
             visited = any(old == "u" and new != "u" for old, new in zip(slots, combo))
             if not visited:
                 continue
-        yield tuple(sorted(combo, key=repr))
+        new_slots = tuple(sorted(combo, key=_slot_key))
+        if new_slots not in seen:
+            seen.add(new_slots)
+            yield new_slots
+
+
+def _slot_key(slot):
+    return (0, slot) if isinstance(slot, str) else (1, slot[1])
 
 
 def _is_final_summary(state) -> bool:

@@ -62,17 +62,11 @@ class LabeledDag:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def simple_edges(self) -> tuple:
-        return tuple(sorted(set(self.edges), key=_edge_key))
-
     def is_simple(self) -> bool:
         return len(self.edges) == len(set(self.edges))
 
     def successors(self, v) -> list:
         return [w for u, w in self.edges if u == v]
-
-    def predecessors(self, v) -> list:
-        return [u for u, w in self.edges if w == v]
 
     def out_degree(self, v) -> int:
         return sum(1 for u, _ in self.edges if u == v)
@@ -107,9 +101,6 @@ class LabeledDag:
                     yield from rec(placed + (v,), remaining - {v})
 
         yield from rec((), set(self.vertices))
-
-    def one_topological_ordering(self) -> tuple:
-        return self._order
 
     # -- closure and reduction -------------------------------------------------
 
@@ -207,15 +198,6 @@ class LabeledDag:
             else:
                 raise InputError(f"line {ln}: expected 'vertex ID LABEL' or 'edge SRC DST'")
         return LabeledDag(labels, edges)
-
-    def to_dot(self, name: str = "dag") -> str:
-        lines = [f"digraph {name} {{"]
-        for v in self.vertices:
-            lines.append(f'  "{v}" [label="{v}:{self.labels[v]}"];')
-        for u, v in self.edges:
-            lines.append(f'  "{u}" -> "{v}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
     def canonical_key(self):
         return canonical_digraph_key(self.labels, self.edges)

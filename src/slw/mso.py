@@ -13,7 +13,6 @@ over the finite structure and are meant for desk-scale cross-checking.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -255,16 +254,13 @@ def check_sorts(phi):
 
 # -- the order-to-graph rewrite -----------------------------------------------------
 
-_FRESH = itertools.count(1)
-
-
 def to_graph_formula(phi) -> Formula:
     """Rewrite an order formula for evaluation on Hasse diagrams: each atom
-    x < y becomes 'there is a path from x to y'."""
+    x < y becomes 'there is a path from x to y'. The path's sets are always
+    named PV and PE: sets, so they never capture the vertices x and y."""
     match phi:
         case Less(left=a, right=b):
-            n = next(_FRESH)
-            xv, yv = Var(f"PV{n}", VSET), Var(f"PE{n}", ESET)
+            xv, yv = Var("PV", VSET), Var("PE", ESET)
             return Exists(xv, Exists(yv, PathAtom(a, xv, yv, b)))
         case Not(body=b):
             return Not(to_graph_formula(b))
@@ -721,10 +717,13 @@ def parse(text: str, free: Optional[dict] = None) -> Formula:
     """Parse the ASCII syntax; unbound variables are errors unless declared
     in `free` (a name -> sort mapping)."""
     p = _Parser(text, free)
-    phi = p.formula()
-    if p.peek() is not None:
-        p.error(f"trailing input {p.peek()!r}")
-    check_sorts(phi)
+    try:
+        phi = p.formula()
+        if p.peek() is not None:
+            p.error(f"trailing input {p.peek()!r}")
+        check_sorts(phi)
+    except RecursionError:
+        raise InputError("formula nested too deeply") from None
     return phi
 
 

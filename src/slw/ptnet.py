@@ -71,6 +71,9 @@ class PtNet:
         if bound < 1:
             raise InputError("declared bound must be >= 1")
         for p in self.places:
+            if p.tokens > bound:
+                raise InputError(f"place {p.name or '?'} starts with {p.tokens} tokens, "
+                                 f"above the declared bound {bound}")
             extra = (set(p.puts) | set(p.takes)) - set(self.transitions)
             if extra:
                 raise InputError(f"place mentions unknown transitions: {sorted(extra)}")
@@ -317,21 +320,6 @@ class ProcessNet:
 
     def n_events(self) -> int:
         return len(self.events)
-
-    def to_dot(self) -> str:
-        lines = ["digraph process {"]
-        for v, t in enumerate(self.events):
-            lines.append(f'  "e{v}" [shape=box,label="{t}"];')
-        for j, c in enumerate(self.conditions):
-            nm = self.net.places[c.place].name or f"p{c.place}"
-            lines.append(f'  "b{j}" [shape=circle,label="{nm}"];')
-        for j, c in enumerate(self.conditions):
-            if c.producer is not None:
-                lines.append(f'  "e{c.producer}" -> "b{j}";')
-            if c.consumer is not None:
-                lines.append(f'  "b{j}" -> "e{c.consumer}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def processes(net: PtNet, k: int, config: RunConfig = DEFAULT_CONFIG) -> list[ProcessNet]:

@@ -206,3 +206,32 @@ def test_state_cap_names_the_construction(files, capsys):
     assert main(["--max-states", "10", "net-automaton", "--net", net, "--c", "2",
                  "--sem", "ex"]) == 2
     assert "token game" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["slw", "slw.cli"])
+def test_module_runs_the_cli(tmp_path, module):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run([sys.executable, "-m", module, "--version"], cwd=tmp_path,
+                            env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0
+    assert result.stdout.decode().strip() == "slw 0.1.0"
+
+
+def test_deeply_nested_formula_exits_three(files):
+    write, tmp = files
+    write("n1.net", N1_TEXT)
+    write("deep.mso", "!" * 5000 + "true")
+    result = _run_cli(["verify", "--net", "n1.net", "--mso", "deep.mso", "--c", "1",
+                       "--sem", "ex"], tmp)
+    assert result.returncode == 3
+    assert b"Traceback" not in result.stderr
+    assert b"nested too deeply" in result.stderr
+
+
+def test_initial_marking_above_bound_exits_three(files, capsys):
+    write, _ = files
+    net = write("over.net", "net over bound=1\ntransitions a\n"
+                            "place init=5 take(a)=1 put(a)=1\n")
+    phi = write("total.mso", corpus.TOTAL_ORDER)
+    assert main(["verify", "--net", net, "--mso", phi, "--c", "1", "--sem", "ex"]) == 3
+    assert "above the declared bound 1" in capsys.readouterr().err

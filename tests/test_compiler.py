@@ -2,6 +2,7 @@
 
 import pytest
 
+from slw import compiler
 from slw.automata import equivalent, intersect, union, valid_sequences
 from slw.compiler import compile_formula
 from slw.config import InputError, ResourceError, RunConfig
@@ -10,7 +11,7 @@ from slw.dag import all_dags
 from slw.mso import And, Coverable, Not, Reduced, Truth, evaluate_dag, parse
 from slw.slices import unit_decompositions
 
-from conftest import cached_po_automaton
+from conftest import cached_po_automaton, hasse_sweep
 from slw import corpus
 
 
@@ -64,6 +65,33 @@ class TestCompile:
         psi = parse(corpus.EDGES_A_TO_B)
         with pytest.raises(ResourceError, match="subformula"):
             compile_formula(psi, 2, ("a", "b"), RunConfig(max_states=2))
+
+
+class TestScoping:
+    @pytest.mark.parametrize("text", [
+        "EX x. (l(x,a) & EX x. l(x,b))",
+        "EX x. (l(x,a) & EX y:e. (s(y,x) & EX x. (t(y,x) & l(x,b))))",
+    ])
+    def test_shadowing_agrees_with_evaluator(self, text):
+        # an atom reads its variable's innermost binder
+        psi = parse(text)
+        for c in (1, 2):
+            aut = compile_formula(psi, c, ("a", "b"))
+            for h, _, decomps in hasse_sweep(c, ("a", "b")):
+                expected = evaluate_dag(h, psi)
+                for u in decomps:
+                    assert aut.accepts(u) == expected, (c, h)
+
+    def test_equal_sorts_share_one_well_formed_automaton(self, monkeypatch):
+        original, built = compiler.well_formed, []
+
+        def spy(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(compiler, "well_formed", spy)
+        compile_formula(parse("(EX x. l(x,a)) & (EX y. l(y,b))"), 1, ("a", "b"))
+        assert len(built) == 2 and built[0] is built[1]
 
 
 class TestPoAutomaton:

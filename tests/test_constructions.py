@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from slw import constructions
 from slw.automata import (SliceAutomaton, difference, equivalent, from_decompositions,
                           intersect)
 from slw.config import PreconditionError
@@ -55,6 +56,18 @@ class TestUniversal:
         for c in (1, 2):
             assert equivalent(universal_automaton(c, T),
                               intersect(reduced_automaton(c, T), coverable_automaton(c, T)))
+
+    def test_slot_assignments_repeat_nothing(self, monkeypatch):
+        original, fresh = constructions._slot_assignments, []
+
+        def spy(slots, frontier):
+            out = list(original(slots, frontier))
+            fresh.append(len(out) == len(set(out)))
+            return out
+
+        monkeypatch.setattr(constructions, "_slot_assignments", spy)
+        universal_automaton.__wrapped__(3, ("a", "b"))
+        assert fresh and all(fresh)
 
 
 class TestPrimitives:

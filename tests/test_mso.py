@@ -113,6 +113,10 @@ class TestOrderToGraph:
         assert isinstance(out, Exists) and isinstance(out.body, Exists)
         assert isinstance(out.body.body, PathAtom)
 
+    def test_rewrite_is_a_pure_function(self):
+        phi = parse(corpus.TOTAL_ORDER)
+        assert to_graph_formula(phi) == to_graph_formula(phi)
+
     def test_no_order_atom_unchanged(self):
         phi = parse("EX x. l(x,a)")
         assert to_graph_formula(phi) == phi

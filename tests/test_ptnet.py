@@ -134,6 +134,12 @@ class TestNetFiles:
         with pytest.raises(InputError, match="input"):
             PtNet.from_text("net x bound=1\ntransitions t\nplace init=1 put(t)=1\n")
 
+    def test_initial_marking_above_bound_rejected(self):
+        with pytest.raises(InputError, match="above the declared bound 1"):
+            PtNet(("t",), [Place(5, puts={"t": 1}, takes={"t": 1})], bound=1)
+        with pytest.raises(InputError, match="above the declared bound 2"):
+            PtNet.from_text("net x bound=2\ntransitions t\nplace init=3 take(t)=1 put(t)=1\n")
+
     def test_bad_attribute(self):
         with pytest.raises(InputError, match="line 3"):
             PtNet.from_text("net x bound=1\ntransitions t\nplace init=1 foo(t)=1\n")
