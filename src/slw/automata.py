@@ -117,7 +117,7 @@ class SliceAutomaton:
         """All (state, letter, state) triples, by state and then in edge order."""
         return tuple((q, s, q2) for q, edges in enumerate(self.adj) for s, q2 in edges)
 
-    def _successors(self) -> list:
+    def successors(self) -> list:
         """Per state, {letter: [targets]}; built on first use."""
         if self._index is None:
             index = []
@@ -428,7 +428,7 @@ def intersect(a: SliceAutomaton, b: SliceAutomaton,
               config: RunConfig = DEFAULT_CONFIG) -> SliceAutomaton:
     """Product automaton: L = L(a) ∩ L(b)."""
     _require_same_alphabet(a, b)
-    a_adj, b_succ = a.adj, b._successors()
+    a_adj, b_succ = a.adj, b.successors()
 
     def expand(pair):
         qa, qb = pair
@@ -465,7 +465,7 @@ def difference(a: SliceAutomaton, b: SliceAutomaton,
     alphabet of valid letter sequences, then intersected with a."""
     _require_same_alphabet(a, b)
     dfa = b.determinize(config)
-    a_adj, delta = a.adj, dfa._successors()
+    a_adj, delta = a.adj, dfa.successors()
 
     def expand(pair):
         qa, p = pair

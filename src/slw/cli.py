@@ -17,7 +17,7 @@ from .automata import (SliceAutomaton, difference, equivalent, includes,
                        intersect, union)
 from .compiler import compile_formula
 from .config import InputError, PreconditionError, ResourceError, RunConfig
-from .constructions import poset_complement
+from .constructions import check_saturated_upto, poset_complement
 from .mso import is_graph_formula, is_order_formula, parse
 from .netaut import net_automaton
 from .ptnet import PtNet
@@ -126,7 +126,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "includes", "empty", "members", "equivalent"))
     p.add_argument("files", nargs="+")
     p.add_argument("-o", "--out")
-    p.add_argument("--n", type=int, default=4, help="member enumeration depth")
+    p.add_argument("--n", type=int, default=4,
+                   help="member enumeration depth; for complement, the vertex "
+                        "count up to which a saturated header is checked")
     p.set_defaults(run=_cmd_aut)
     return parser
 
@@ -241,6 +243,8 @@ def _cmd_aut(args, config, log) -> int:
              "complement": 1, "empty": 1, "members": 1}[op]
     if len(args.files) != needs:
         raise InputError(f"aut {op} takes {needs} automaton file(s)")
+    if args.n < 0:
+        raise InputError("--n must be >= 0")
     auts = [SliceAutomaton.from_text(_read(f)) for f in args.files]
     for f, a in zip(args.files, auts):
         problems = a.validate()
@@ -250,13 +254,20 @@ def _cmd_aut(args, config, log) -> int:
         _emit(union(*auts).to_text(), args.out)
         return 0
     if op == "intersect":
-        _emit(intersect(*auts).to_text(), args.out)
+        _emit(intersect(auts[0], auts[1], config).to_text(), args.out)
         return 0
     if op == "diff":
         _emit(difference(auts[0], auts[1], config).to_text(), args.out)
         return 0
     if op == "complement":
-        _emit(poset_complement(auts[0], config).to_text(), args.out)
+        # header flags are claims: decide reducedness, check saturation up to --n
+        a = auts[0].with_flags(saturated=auts[0].saturated, transitively_reduced=None)
+        if a.saturated:
+            if check_saturated_upto(a, args.n, config) is not None:
+                raise PreconditionError(f"{args.files[0]}: claims saturated, but misses "
+                                        f"a unit decomposition of a DAG it accepts")
+            print(f"note: saturation checked up to {args.n} vertices", file=sys.stderr)
+        _emit(poset_complement(a, config).to_text(), args.out)
         return 0
     if op == "includes":
         ok = includes(auts[0], auts[1], config)
@@ -270,8 +281,6 @@ def _cmd_aut(args, config, log) -> int:
         ok = auts[0].is_empty()
         print(str(ok).lower())
         return 0 if ok else 1
-    if args.n < 0:
-        raise InputError("--n must be >= 0")
     members = auts[0].po_members_up_to(args.n, config)
     for po in members:
         labels = ",".join(str(po.labels[v]) for v in po.vertices)

@@ -72,11 +72,10 @@ class _Frontier:
         self.new_channels = tuple(rename[cls] for cls in raw)
         self.new_reach = frozenset((rename[a], rename[b]) for a, b in pairs)
 
-    def parallel_closure(self) -> bool:
-        return len(set(self.closing_classes)) != len(self.closing_classes)
-
     def hasse_ok(self) -> bool:
-        return not self.parallel_closure() and not any(self.redundant)
+        """No closing edge is transitive, and no two closing edges are parallel."""
+        return (len(set(self.closing_classes)) == len(self.closing_classes)
+                and not any(self.redundant))
 
 
 def _slot_assignments(slots: tuple, frontier: _Frontier):
@@ -122,10 +121,6 @@ def _slot_key(slot):
     return (0, slot) if isinstance(slot, str) else (1, slot[1])
 
 
-def _is_final_summary(state) -> bool:
-    return state[0] != START and state[1] == ()
-
-
 @lru_cache(maxsize=None)
 def reduced_automaton(c: int, labels: tuple,
                       config: RunConfig = DEFAULT_CONFIG) -> SliceAutomaton:
@@ -134,18 +129,8 @@ def reduced_automaton(c: int, labels: tuple,
     Rejects, at closure time, every edge whose source reaches the center
     through another closing channel, and parallel closures.
     """
-    groups = _letters_by_width(c, labels)
-
-    def expand(state):
-        _, channels, reach = state
-        for letter in groups.get(len(channels), ()):
-            fr = _Frontier(channels, reach, letter)
-            if not fr.hasse_ok():
-                continue
-            yield letter, ("r", fr.new_channels, fr.new_reach)
-
-    return explore((START, (), frozenset()), expand, _is_final_summary,
-                   c, labels, unit_alphabet(c, labels), name="reduced automaton", config=config, transitively_reduced=True)
+    return _summary_automaton(c, labels, "reduced automaton", True, None, config,
+                              transitively_reduced=True)
 
 
 @lru_cache(maxsize=None)
@@ -157,18 +142,8 @@ def coverable_automaton(c: int, labels: tuple, budget: Optional[int] = None,
     A budget of path slots rides the open channels; every channel is ridden
     from birth to closure, so edge and vertex coverage hold by construction.
     """
-    groups = _letters_by_width(c, labels)
-    init_slots = tuple(["u"] * (c if budget is None else budget))
-
-    def expand(state):
-        _, channels, _, slots = state
-        for letter in groups.get(len(channels), ()):
-            fr = _Frontier(channels, frozenset(), letter)
-            for new_slots in _slot_assignments(slots, fr):
-                yield letter, ("g", fr.new_channels, frozenset(), new_slots)
-
-    return explore((START, (), frozenset(), init_slots), expand, _is_final_summary,
-                   c, labels, unit_alphabet(c, labels), name="coverable automaton", config=config, saturated=True)
+    return _summary_automaton(c, labels, "coverable automaton", False,
+                              c if budget is None else budget, config, saturated=True)
 
 
 @lru_cache(maxsize=None)
@@ -181,20 +156,35 @@ def universal_automaton(c: int, labels: tuple,
     construction; every unit decomposition of every accepted diagram is
     accepted.
     """
+    return _summary_automaton(c, labels, "universal automaton", True, c, config,
+                              saturated=True, transitively_reduced=True)
+
+
+def _summary_automaton(c: int, labels: tuple, name: str, hasse: bool,
+                       budget: Optional[int], config: RunConfig, **flags) -> SliceAutomaton:
+    """The automaton over frontier summaries (tag, channels, reach, slots).
+
+    With `hasse`, letters that close a transitive or parallel edge are
+    rejected, which needs the reach relation; without it the stored reach
+    stays empty. With a budget, that many path slots ride the channels;
+    without one the slots stay empty and unchecked.
+    """
     groups = _letters_by_width(c, labels)
 
     def expand(state):
         _, channels, reach, slots = state
         for letter in groups.get(len(channels), ()):
             fr = _Frontier(channels, reach, letter)
-            if not fr.hasse_ok():
+            if hasse and not fr.hasse_ok():
                 continue
-            for new_slots in _slot_assignments(slots, fr):
-                yield letter, ("univ", fr.new_channels, fr.new_reach, new_slots)
+            new_reach = fr.new_reach if hasse else frozenset()
+            for new_slots in ((),) if budget is None else _slot_assignments(slots, fr):
+                yield letter, (name, fr.new_channels, new_reach, new_slots)
 
-    return explore((START, (), frozenset(), ("u",) * c), expand, _is_final_summary,
-                   c, labels, unit_alphabet(c, labels), name="universal automaton",
-                   config=config, saturated=True, transitively_reduced=True)
+    init_slots = () if budget is None else ("u",) * budget
+    return explore((START, (), frozenset(), init_slots), expand,
+                   lambda state: state[0] != START and state[1] == (),
+                   c, labels, unit_alphabet(c, labels), name=name, config=config, **flags)
 
 
 def transitive_reduce_automaton(a: SliceAutomaton,

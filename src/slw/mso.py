@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
 from .dag import LabeledDag, LabeledPoset
@@ -24,8 +24,9 @@ VERTEX, EDGE, VSET, ESET = "vertex", "edge", "vset", "eset"
 _FIRST_ORDER = (VERTEX, EDGE)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
+    """A variable: a name and a sort; equal names of different sorts differ.
+    A tuple, so the evaluator's environment hashes it without a Python call."""
     name: str
     sort: str
 
@@ -401,7 +402,7 @@ def evaluate_po(poset: LabeledPoset, phi, env: Optional[dict] = None,
     if poset.n_vertices() > config.max_enum_vertices:
         raise ResourceError("poset too large for quantifier expansion",
                             context=f"max_enum_vertices={config.max_enum_vertices}")
-    return _eval(phi, dict(env or {}), _PoStructure(poset))
+    return _eval(phi, _bind(phi, env), _PoStructure(poset))
 
 
 def evaluate_dag(dag: LabeledDag, phi, env: Optional[dict] = None,
@@ -413,7 +414,7 @@ def evaluate_dag(dag: LabeledDag, phi, env: Optional[dict] = None,
     if dag.n_vertices() > config.max_enum_vertices or len(dag.edges) > config.max_enum_edges:
         raise ResourceError("DAG too large for quantifier expansion",
                             context=f"caps {config.max_enum_vertices}/{config.max_enum_edges}")
-    return _eval(phi, dict(env or {}), _DagStructure(dag))
+    return _eval(phi, _bind(phi, env), _DagStructure(dag))
 
 
 class _PoStructure:
@@ -448,6 +449,11 @@ class _DagStructure:
 _MISSING = object()
 
 
+def _bind(phi, env: Optional[dict]) -> dict:
+    """Key a caller's environment by Var (name and sort), as _eval does."""
+    return {v: env[v.name] for v in free_vars(phi) if env and v.name in env}
+
+
 def _subsets(items) -> Iterator[frozenset]:
     items = tuple(items)
     for mask in range(1 << len(items)):
@@ -459,15 +465,15 @@ def _eval(phi, env: dict, st) -> bool:
         case Truth(value=v):
             return v
         case InSet(elem=e, coll=c):
-            return env[e.name] in env[c.name]
+            return env[e] in env[c]
         case Less(left=a, right=b):
-            return st.less(env[a.name], env[b.name])
+            return st.less(env[a], env[b])
         case HasLabel(vertex=v, label=lab):
-            return st.label(env[v.name]) == lab
+            return st.label(env[v]) == lab
         case EdgeSource(edge=y, vertex=x):
-            return st.source(env[y.name]) == env[x.name]
+            return st.source(env[y]) == env[x]
         case EdgeTarget(edge=y, vertex=x):
-            return st.target(env[y.name]) == env[x.name]
+            return st.target(env[y]) == env[x]
         case Not(body=b):
             return not _eval(b, env, st)
         case And(left=a, right=b):
@@ -475,7 +481,7 @@ def _eval(phi, env: dict, st) -> bool:
         case Or(left=a, right=b):
             return _eval(a, env, st) or _eval(b, env, st)
         case PathAtom(src=a, vset=x, eset=y, dst=b):
-            return _check_path(st.dag, env[a.name], env[x.name], env[y.name], env[b.name])
+            return _check_path(st.dag, env[a], env[x], env[y], env[b])
         case Reduced():
             return st.dag.is_transitively_reduced()
         case Coverable(count=c):
@@ -490,17 +496,17 @@ def _eval(phi, env: dict, st) -> bool:
                 domain = _subsets(st.vertices)
             else:
                 domain = _subsets(st.edge_ids)
-            old = env.get(v.name, _MISSING)
+            old = env.get(v, _MISSING)
             found = False
             for value in domain:
-                env[v.name] = value
+                env[v] = value
                 if _eval(b, env, st):
                     found = True
                     break
             if old is _MISSING:
-                env.pop(v.name, None)
+                env.pop(v, None)
             else:
-                env[v.name] = old
+                env[v] = old
             return found
     raise InputError(f"not a formula node: {phi!r}")
 

@@ -1,8 +1,10 @@
 """Slice automata denoting the partial-order behavior of bounded p/t-nets.
 
-States pair a frontier summary (open channels, reachability of their sources)
-with a multiset of token classes. A token class records its place instance and
-two sets of open channels:
+The token game is played on the universal automaton: a state pairs a state of
+universal_automaton(c, T), which admits exactly the unit decompositions of
+Hasse diagrams coverable by c paths, with a multiset of token classes. A token
+class records its place instance and two sets of open channels (the ports of
+the current frontier):
 
   succ: channels whose source vertex is causally at-or-after the producing
         event; consuming the token at a center is legal iff some channel
@@ -13,9 +15,8 @@ two sets of open channels:
         realized by a condition).
 
 Initial-marking tokens have no producing event: they carry empty sets, impose
-no order constraint on consumers, and realize no edge. The construction is
-intersected with the universal automaton, which restricts composed DAGs to
-path-coverable Hasse diagrams; the result is saturated and transitively
+no order constraint on consumers, and realize no edge. A state is final when
+its universal-automaton state is; the result is saturated and transitively
 reduced, and its poset language is exactly the net's c-bounded behavior under
 the chosen semantics.
 """
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 import itertools
 
-from .automata import SliceAutomaton, explore, intersect
+from .automata import SliceAutomaton, explore
 from .config import DEFAULT_CONFIG, InputError, RunConfig
-from .constructions import _Frontier, _letters_by_width, universal_automaton
+from .constructions import universal_automaton
 from .ptnet import PtNet
-from .slices import unit_alphabet
+from .slices import Slice
 
 
 def net_automaton(net: PtNet, c: int, sem: str,
@@ -41,36 +42,29 @@ def net_automaton(net: PtNet, c: int, sem: str,
     """
     if sem not in ("ex", "cau"):
         raise InputError(f"semantics must be 'ex' or 'cau', not {sem!r}")
-    raw = _token_game_automaton(net, c, sem, config)
-    out = intersect(raw, universal_automaton(c, tuple(net.transitions), config), config)
-    return out.with_flags(saturated=True, transitively_reduced=True)
-
-
-def _token_game_automaton(net: PtNet, c: int, sem: str, config: RunConfig) -> SliceAutomaton:
     labels = tuple(net.transitions)
-    groups = _letters_by_width(c, labels)
+    univ = universal_automaton(c, labels, config)
+    succ = univ.successors()
     causal = sem == "cau"
 
     def expand(state):
-        channels, reach, tokens = state
-        for letter in groups.get(len(channels), ()):
-            fr = _Frontier(channels, reach, letter)
-            if not fr.hasse_ok():
-                continue
-            closing = frozenset(fr.closing_ports)
-            for new_tokens in _firings(net, tokens, letter.label, fr, closing, causal):
-                yield letter, (fr.new_channels, fr.new_reach, new_tokens)
+        q, tokens = state
+        for letter, targets in succ[q].items():
+            for new_tokens in _firings(net, tokens, letter, causal):
+                for q2 in targets:
+                    yield letter, (q2, new_tokens)
 
     init_tokens = tuple(sorted(
         ((i, True, frozenset(), frozenset()), p.tokens)
         for i, p in enumerate(net.places) if p.tokens > 0))
-    return explore(((), frozenset(), init_tokens), expand, lambda state: state[0] == (),
-                   c, labels, unit_alphabet(c, labels), name="token game", config=config)
+    return explore((0, init_tokens), expand, lambda state: state[0] in univ.finals,
+                   c, labels, univ.alphabet, name="token game", config=config,
+                   saturated=True, transitively_reduced=True).trim()
 
 
-def _firings(net: PtNet, tokens: tuple, t, fr: _Frontier, closing: frozenset,
-             causal: bool):
-    """All legal token consumptions/productions for firing t at this letter."""
+def _firings(net: PtNet, tokens: tuple, letter: Slice, causal: bool):
+    """All legal token consumptions/productions for firing the letter's label."""
+    t = letter.label
     by_place: list[list] = [[] for _ in net.places]
     counts = [0] * len(net.places)
     for cls, cnt in tokens:
@@ -82,24 +76,18 @@ def _firings(net: PtNet, tokens: tuple, t, fr: _Frontier, closing: frozenset,
            for i, p in enumerate(net.places)):
         return
 
+    closing = frozenset(letter.closing_ports())
     per_place = []
     for i, p in enumerate(net.places):
-        need = p.take(t)
-        choices = []
-        for combo in _multiset_choices(by_place[i], need):
-            ok = True
-            for cls, _ in combo:
-                _, initial, succ, _flow = cls
-                if not initial and not (succ & closing):
-                    ok = False  # producer would not precede this center
-                    break
-            if ok:
-                choices.append(combo)
+        # a produced token is consumable only where its producer precedes the center
+        choices = [combo for combo in _multiset_choices(by_place[i], p.take(t))
+                   if all(initial or succ & closing for (_, initial, succ, _), _ in combo)]
         if not choices:
             return
         per_place.append(choices)
 
-    born = frozenset(fr.born_ports)
+    port_map = letter.bypass_map()
+    born = frozenset(letter.born_ports())
     for assignment in itertools.product(*per_place):
         consumed: dict = {}
         for combo in assignment:
@@ -110,12 +98,12 @@ def _firings(net: PtNet, tokens: tuple, t, fr: _Frontier, closing: frozenset,
             if any(not any(p in f for f in flows) for p in closing):
                 continue  # some closed covering edge has no realizing condition
         new_flow_from_consumed = frozenset(
-            fr.port_map[p] for cls in consumed for p in cls[3] if p in fr.port_map)
+            port_map[p] for cls in consumed for p in cls[3] if p in port_map)
         counter: dict = {}
         for cls, cnt in tokens:
             left = cnt - consumed.get(cls, 0)
             if left > 0:
-                adv = _advance(cls, fr, closing, born)
+                adv = _advance(cls, port_map, closing, born)
                 counter[adv] = counter.get(adv, 0) + left
         for i, p in enumerate(net.places):
             if p.put(t) > 0:
@@ -124,14 +112,13 @@ def _firings(net: PtNet, tokens: tuple, t, fr: _Frontier, closing: frozenset,
         yield tuple(sorted(counter.items()))
 
 
-def _advance(cls, fr: _Frontier, closing: frozenset, born: frozenset):
+def _advance(cls, port_map: dict, closing: frozenset, born: frozenset):
     """Reindex a surviving token class across the frontier step."""
     place, initial, succ, flow = cls
-    gains_born = bool(succ & closing)
-    succ2 = frozenset(fr.port_map[p] for p in succ if p in fr.port_map)
-    if gains_born:
+    succ2 = frozenset(port_map[p] for p in succ if p in port_map)
+    if succ & closing:
         succ2 |= born
-    flow2 = frozenset(fr.port_map[p] for p in flow if p in fr.port_map)
+    flow2 = frozenset(port_map[p] for p in flow if p in port_map)
     return (place, initial, succ2, flow2)
 
 

@@ -200,12 +200,46 @@ def test_output_does_not_depend_on_hash_seed(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_state_cap_names_the_construction(files, capsys):
+# the universal automaton at c=2 has exactly 10 states; the token game has more
+@pytest.mark.parametrize("cap, stage", [("5", "universal automaton"), ("10", "token game")],
+                         ids=["universal", "token-game"])
+def test_state_cap_names_the_construction(files, capsys, cap, stage):
     write, _ = files
     net = write("n2.net", make_fixture_nets()["N2"].to_text())
-    assert main(["--max-states", "10", "net-automaton", "--net", net, "--c", "2",
+    assert main(["--max-states", cap, "net-automaton", "--net", net, "--c", "2",
                  "--sem", "ex"]) == 2
-    assert "token game" in capsys.readouterr().err
+    assert stage in capsys.readouterr().err
+
+
+def test_aut_intersect_honours_the_state_cap(files, capsys):
+    write, tmp = files
+    net = write("n1.net", N1_TEXT)
+    aut = str(tmp / "n1.aut")
+    assert main(["net-automaton", "--net", net, "--c", "2", "--sem", "ex", "-o", aut]) == 0
+    assert main(["--max-states", "3", "aut", "intersect", aut, aut]) == 2
+    assert "intersection" in capsys.readouterr().err
+
+
+# one unit decomposition of the antichain a||b, whose header claims more
+FAKE_SATURATED = """slice-automaton c=2 alphabet=a,b saturated reduced
+state 0 initial
+state 1
+state 2 final
+trans 0 slice{in:0; out:0; center:a; edges: } 1
+trans 1 slice{in:0; out:0; center:b; edges: } 2
+"""
+
+
+def test_complement_checks_a_saturated_header(files, capsys):
+    write, tmp = files
+    fake = write("fake.aut", FAKE_SATURATED)
+    assert main(["aut", "complement", fake]) == 3
+    assert "claims saturated" in capsys.readouterr().err
+    net = write("n1.net", N1_TEXT)
+    aut = str(tmp / "n1.aut")
+    assert main(["net-automaton", "--net", net, "--c", "2", "--sem", "ex", "-o", aut]) == 0
+    assert main(["aut", "complement", aut, "--n", "3"]) == 0
+    assert "checked up to 3 vertices" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("module", ["slw", "slw.cli"])

@@ -40,6 +40,13 @@ class TestCompile:
                 for u in unit_decompositions(h, 1):
                     assert aut.accepts(u) == expected, h
 
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_gamma_zero_is_empty(self, c):
+        # no DAG is covered by zero paths, and a budget of 0 slots admits none
+        assert not any(evaluate_dag(h, Coverable(0))
+                       for n in range(1, 4) for h in all_dags(n, ["t"]))
+        assert compile_formula(Coverable(0), c, ("t",)).is_empty()
+
     def test_rho_and_gamma_equals_universal(self):
         for c in (1, 2):
             aut = compile_formula(And(Reduced(), Coverable(c)), c, ("t",))

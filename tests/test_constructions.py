@@ -92,6 +92,10 @@ class TestPrimitives:
                 for u in unit_decompositions(h, 2):
                     assert g1.accepts(u) == (h.min_path_cover()[0] <= 1), h
 
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_coverable_budget_zero_is_empty(self, c):
+        assert coverable_automaton(c, T, 0).is_empty()
+
 
 def _random_automata(seed: int, count: int):
     """Seeded small automata: unions of single-DAG languages at width 2."""

@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from slw.compiler import po_automaton
 from slw.config import InputError
 from slw.dag import LabeledDag, LabeledPoset, all_dags, dedup_posets
 from slw.mso import (Coverable, Exists, Less, Not, PathAtom, Reduced, Var,
                      evaluate_dag, evaluate_po, expand_builtins, parse, to_graph_formula,
                      to_text)
+from slw.slices import unit_decompositions
 from slw import corpus
 
 
@@ -128,6 +130,18 @@ class TestOrderToGraph:
         phig = to_graph_formula(phi)
         for po in all_posets_up_to(4, ("a", "b")):
             assert evaluate_po(po, phi) == evaluate_dag(po.hasse_diagram(), phig), po
+
+    def test_vertex_named_like_a_path_set_is_not_captured(self):
+        # the rewrite binds sets named PV; a vertex PV is a different variable
+        pv, y = Var("PV", "vertex"), Var("y", "vertex")
+        phi = Exists(pv, Exists(y, Less(pv, y)))
+        chain = LabeledPoset({0: "a", 1: "a"}, [(0, 1)])
+        hasse = chain.hasse_diagram()
+        accepted = any(po_automaton(phi, 1, ("a",)).accepts(u)
+                       for u in unit_decompositions(hasse, 1))
+        assert evaluate_po(chain, phi)
+        assert evaluate_dag(hasse, to_graph_formula(phi))
+        assert accepted
 
 
 class TestBuiltinDualForms:
