@@ -13,22 +13,20 @@ output, `.aut` text included, is deterministic by construction: nothing is
 ordered by hash or by `repr`. Every exploration is capped by
 `RunConfig.max_states`, and the ResourceError names the construction.
 
-Automata are immutable; Boolean operations return fresh automata; the
-determinization of an automaton is memoized behind a lock so concurrent
-readers see consistent values.
+Automata are immutable and Boolean operations return fresh automata. Nothing
+is memoized but the per-state successor index; a difference walks the subsets
+of its right operand on the fly, building only those its left operand's words
+reach.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
 from .dag import LabeledDag, LabeledPoset, dedup_posets
 from .slices import Slice, UnitDecomposition, can_glue, compose, from_literal, to_literal, unit_alphabet
-
-_det_lock = threading.Lock()
 
 
 def letter_base(letter) -> Slice:
@@ -80,7 +78,6 @@ class SliceAutomaton:
         self.finals = finals
         self.saturated = saturated
         self.transitively_reduced = transitively_reduced
-        self._det = None
         self._index = None
 
     @classmethod
@@ -95,7 +92,7 @@ class SliceAutomaton:
         """The same automaton, sharing its storage, with other property flags."""
         out = SliceAutomaton._of(self.c, self.labels, self.alphabet, self.adj, self.finals,
                                  saturated, transitively_reduced)
-        out._det, out._index = self._det, self._index
+        out._index = self._index
         return out
 
     def map_letters(self, alphabet: Sequence, table: dict) -> "SliceAutomaton":
@@ -256,11 +253,9 @@ class SliceAutomaton:
         if n > config.max_enum_vertices:
             raise ResourceError(f"member enumeration beyond cap: {n}",
                                 context=f"max_enum_vertices={config.max_enum_vertices}")
-        posets = []
-        for key in {tuple(letter_base(s) for s in w)
-                    for w in self.enumerate_words(n, config)}:
-            posets.append(compose(UnitDecomposition(key)).transitive_closure())
-        return dedup_posets(posets)
+        words = dict.fromkeys(tuple(letter_base(s) for s in w)
+                              for w in self.enumerate_words(n, config))
+        return dedup_posets(compose(UnitDecomposition(w)).transitive_closure() for w in words)
 
     def graph_members_up_to(self, n: int,
                             config: RunConfig = DEFAULT_CONFIG) -> list[LabeledDag]:
@@ -274,29 +269,19 @@ class SliceAutomaton:
             by_key.setdefault(g.canonical_key(), g)
         return [by_key[k] for k in sorted(by_key)]
 
-    # -- determinization (memoized) ----------------------------------------------------
+    # -- determinization ------------------------------------------------------------------
 
     def determinize(self, config: RunConfig = DEFAULT_CONFIG) -> "SliceAutomaton":
         """The subset automaton: deterministic, and a missing letter rejects."""
-        with _det_lock:
-            if self._det is not None:
-                return self._det
-        adj, finals = self.adj, self.finals
+        succ, finals = self.successors(), self.finals
 
         def expand(subset):
-            by_letter = {}
-            for q in subset:
-                for s, q2 in adj[q]:
-                    by_letter.setdefault(s, set()).add(q2)
-            for s, targets in by_letter.items():
-                yield s, tuple(sorted(targets))
+            for s in dict.fromkeys(s for q in sorted(subset) for s in succ[q]):
+                yield s, _subset_step(succ, subset, s)
 
-        dfa = explore((0,), expand, lambda subset: not finals.isdisjoint(subset),
-                      self.c, self.labels, self.alphabet, name="determinization",
-                      config=config)
-        with _det_lock:
-            self._det = dfa
-        return dfa
+        return explore(frozenset([0]), expand, lambda subset: not finals.isdisjoint(subset),
+                       self.c, self.labels, self.alphabet, name="determinization",
+                       config=config)
 
     # -- serialization ------------------------------------------------------------------
 
@@ -320,17 +305,21 @@ class SliceAutomaton:
 
     @staticmethod
     def from_text(text: str) -> "SliceAutomaton":
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln and not ln.startswith("#")]
-        if not lines or not lines[0].startswith("slice-automaton"):
+        """Parse the `.aut` format: a header, then state lines, then trans lines
+        that name only states declared above them."""
+        rows = ((n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1))
+        rows = ((n, ln) for n, ln in rows if ln and not ln.startswith("#"))
+        n, header = next(rows, (0, ""))
+        if not header.startswith("slice-automaton"):
             raise InputError("expected a 'slice-automaton c=<c> alphabet=<T>' header")
-        header = lines[0].split()
         c = None
         labels = ()
         saturated = None
         reduced = None
-        for tok in header[1:]:
+        for tok in header.split()[1:]:
             if tok.startswith("c="):
+                if not tok[2:].isdigit():
+                    raise InputError(f"line {n}: bad width in {tok!r}")
                 c = int(tok[2:])
             elif tok.startswith("alphabet="):
                 labels = tuple(tok[len("alphabet="):].split(","))
@@ -342,8 +331,8 @@ class SliceAutomaton:
                 raise InputError(f"unknown header token {tok!r}")
         if c is None or not labels:
             raise InputError("header must declare c= and alphabet=")
-        states, initial, finals, trans = [], None, set(), []
-        for ln in lines[1:]:
+        states, initial, finals, trans = {}, None, set(), []
+        for n, ln in rows:
             parts = ln.split(None, 2)
             if parts[0] == "state":
                 rest = parts[1:] if len(parts) > 1 else []
@@ -351,7 +340,7 @@ class SliceAutomaton:
                     raise InputError(f"malformed state line: {ln!r}")
                 name = rest[0]
                 flagtext = rest[1] if len(rest) > 1 else ""
-                states.append(name)
+                states[name] = None
                 if "initial" in flagtext.split():
                     if initial is not None:
                         raise InputError("multiple initial states declared")
@@ -359,16 +348,15 @@ class SliceAutomaton:
                 if "final" in flagtext.split():
                     finals.add(name)
             elif parts[0] == "trans":
-                if len(parts) < 3:
+                body = parts[2] if len(parts) == 3 else ""
+                lit_end = body.rfind("}")
+                dst = body[lit_end + 1:].strip()
+                if lit_end < 0 or not dst:
                     raise InputError(f"malformed trans line: {ln!r}")
-                src = parts[1]
-                rest = parts[2]
-                lit_end = rest.rindex("}")
-                literal = rest[: lit_end + 1].strip()
-                dst = rest[lit_end + 1:].strip()
-                if not dst:
-                    raise InputError(f"malformed trans line: {ln!r}")
-                trans.append((src, from_literal(literal), dst))
+                for q in (parts[1], dst):
+                    if q not in states:
+                        raise InputError(f"line {n}: transition names undeclared state {q!r}")
+                trans.append((parts[1], from_literal(body[: lit_end + 1]), dst))
             else:
                 raise InputError(f"unexpected line in automaton file: {ln!r}")
         if initial is None:
@@ -459,22 +447,26 @@ def union(a: SliceAutomaton, b: SliceAutomaton) -> SliceAutomaton:
         True if (a.transitively_reduced and b.transitively_reduced) else None).trim()
 
 
+def _subset_step(succ: list, subset: frozenset, letter) -> frozenset:
+    """The states reached from `subset` on `letter`; `succ` is `successors()`."""
+    return frozenset(q2 for q in subset for q2 in succ[q].get(letter, ()))
+
+
 def difference(a: SliceAutomaton, b: SliceAutomaton,
                config: RunConfig = DEFAULT_CONFIG) -> SliceAutomaton:
-    """L = L(a) \\ L(b): b is determinized and complemented over the full
-    alphabet of valid letter sequences, then intersected with a."""
+    """L = L(a) \\ L(b): the product of a with the subsets of b's states that
+    a's words reach, built on the fly; a pair accepts when a does and no state
+    of its subset does (the empty subset rejects everything that follows)."""
     _require_same_alphabet(a, b)
-    dfa = b.determinize(config)
-    a_adj, delta = a.adj, dfa.successors()
+    a_adj, b_succ, b_finals = a.adj, b.successors(), b.finals
 
     def expand(pair):
-        qa, p = pair
-        row = delta[p] if p >= 0 else {}     # -1 is the rejecting sink
+        qa, subset = pair
         for s, qa2 in a_adj[qa]:
-            p2 = row.get(s)
-            yield s, (qa2, p2[0] if p2 else -1)
+            yield s, (qa2, _subset_step(b_succ, subset, s))
 
-    return explore((0, 0), expand, lambda p: p[0] in a.finals and p[1] not in dfa.finals,
+    return explore((0, frozenset([0])), expand,
+                   lambda p: p[0] in a.finals and b_finals.isdisjoint(p[1]),
                    a.c, a.labels, a.alphabet, name="difference", config=config,
                    saturated=True if (a.saturated and b.saturated) else None,
                    transitively_reduced=True if a.transitively_reduced else None).trim()

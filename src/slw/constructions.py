@@ -21,14 +21,6 @@ from .slices import Slice, unit_alphabet, unit_decompositions
 START = "start"   # the tag of the initial summary, which is never final
 
 
-@lru_cache(maxsize=None)
-def _letters_by_width(c: int, labels: tuple) -> dict:
-    groups = {}
-    for s in unit_alphabet(c, labels):
-        groups.setdefault(s.n_in, []).append(s)
-    return groups
-
-
 class _Frontier:
     """One step of channel bookkeeping for a letter read at the current frontier."""
 
@@ -169,7 +161,10 @@ def _summary_automaton(c: int, labels: tuple, name: str, hasse: bool,
     stays empty. With a budget, that many path slots ride the channels;
     without one the slots stay empty and unchecked.
     """
-    groups = _letters_by_width(c, labels)
+    alphabet = unit_alphabet(c, labels)
+    groups = {}
+    for s in alphabet:
+        groups.setdefault(s.n_in, []).append(s)
 
     def expand(state):
         _, channels, reach, slots = state
@@ -184,7 +179,7 @@ def _summary_automaton(c: int, labels: tuple, name: str, hasse: bool,
     init_slots = () if budget is None else ("u",) * budget
     return explore((START, (), frozenset(), init_slots), expand,
                    lambda state: state[0] != START and state[1] == (),
-                   c, labels, unit_alphabet(c, labels), name=name, config=config, **flags)
+                   c, labels, alphabet, name=name, config=config, **flags)
 
 
 def transitive_reduce_automaton(a: SliceAutomaton,

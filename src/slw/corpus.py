@@ -1,13 +1,9 @@
 """The fixed formula corpus used by the acceptance suite and the demos.
 
-Each entry is (name, kind, text): kind is "order" or "graph". The helper
+`ORDER_CORPUS` and `GRAPH_CORPUS` map a name to formula text. The helper
 macros (minimal element, covering pair, parity via an alternating set) are
 spelled out in the concrete syntax so the corpus exercises the parser too.
 """
-
-from __future__ import annotations
-
-from .mso import Formula, parse
 
 _COVER = "(x<y & !(EX z. (x<z & z<y)))"
 _MIN_X = "(!(EX z. z<x))"
@@ -77,10 +73,3 @@ GRAPH_CORPUS: dict[str, str] = {
     "coverable-2": GAMMA_2,
 }
 
-
-def order_formula(name: str) -> Formula:
-    return parse(ORDER_CORPUS[name])
-
-
-def graph_formula(name: str) -> Formula:
-    return parse(GRAPH_CORPUS[name])

@@ -30,9 +30,6 @@ class Var(NamedTuple):
     name: str
     sort: str
 
-    def is_set(self) -> bool:
-        return self.sort in (VSET, ESET)
-
 
 @dataclass(frozen=True)
 class Truth:

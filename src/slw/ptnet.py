@@ -118,7 +118,7 @@ class PtNet:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_text(text: str, check_transitions: bool = True) -> "PtNet":
+    def from_text(text: str) -> "PtNet":
         name, bound, transitions = None, None, None
         places: list[Place] = []
         for ln, raw in enumerate(text.splitlines(), 1):
@@ -132,10 +132,10 @@ class PtNet:
                 name = parts[1]
                 bound = 1
                 for tok in parts[2:]:
-                    if tok.startswith("bound="):
+                    if tok.startswith("bound=") and tok[len("bound="):].isdigit():
                         bound = int(tok[len("bound="):])
                     else:
-                        raise InputError(f"line {ln}: unknown net attribute {tok!r}")
+                        raise InputError(f"line {ln}: unknown or malformed net attribute {tok!r}")
             elif parts[0] == "transitions":
                 transitions = parts[1:]
                 if not transitions:
@@ -172,8 +172,7 @@ class PtNet:
                 raise InputError(f"line {ln}: unexpected {parts[0]!r}")
         if name is None or transitions is None:
             raise InputError("net file needs 'net' and 'transitions' lines")
-        return PtNet(transitions, places, bound=bound, name=name,
-                     check_transitions=check_transitions)
+        return PtNet(transitions, places, bound=bound, name=name)
 
 
 # -- token game -------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .automata import SliceAutomaton, difference, disjoint, includes, intersect, letter_base
@@ -104,20 +103,11 @@ def candidate_places(labels: Sequence, b: int):
         yield Place(tokens, puts=puts, takes=takes)
 
 
-@lru_cache(maxsize=None)
-def _probe_automaton(place_key, labels: tuple, b: int, c: int, sem: str,
-                     config: RunConfig) -> SliceAutomaton:
-    tokens, puts, takes = place_key
-    probe = PtNet(labels, [Place(tokens, dict(puts), dict(takes))],
-                  bound=b, name="probe", check_transitions=False)
-    return net_automaton(probe, c, sem, config)
-
-
 def feasible_place(place: Place, spec: SynthesisSpec,
                    config: RunConfig = DEFAULT_CONFIG) -> bool:
     """True iff the single-place probe net admits every specified behavior."""
-    probe = _probe_automaton(place.key(), spec.labels, spec.b, spec.c, spec.sem, config)
-    return includes(spec.automaton, probe, config)
+    probe = PtNet(spec.labels, [place], bound=spec.b, name="probe", check_transitions=False)
+    return includes(spec.automaton, net_automaton(probe, spec.c, spec.sem, config), config)
 
 
 # -- net synthesis (minimal containment) ------------------------------------------------
@@ -132,6 +122,12 @@ def synthesize(spec: SynthesisSpec, config: RunConfig = DEFAULT_CONFIG,
     containing net is individually feasible, and the execution behavior of a
     union of places is the intersection of their single-place behaviors.
     """
+    return _synthesize(spec, config, log)[0]
+
+
+def _synthesize(spec: SynthesisSpec, config: RunConfig,
+                log: Optional[ProofLog]) -> tuple[Optional[PtNet], Optional[SliceAutomaton]]:
+    """`synthesize`, also returning the behavior automaton of the net it found."""
     feasible = [p for p in candidate_places(spec.labels, spec.b)
                 if feasible_place(p, spec, config)]
     if log:
@@ -142,7 +138,7 @@ def synthesize(spec: SynthesisSpec, config: RunConfig = DEFAULT_CONFIG,
             if log:
                 log.step(f"transition {t} has feasible input and output places",
                          "region enumeration", False)
-            return None
+            return None, None
     copies = 1 if spec.sem == "ex" else spec.r
     places = [p for p in feasible for _ in range(copies)]
     net = PtNet(spec.labels, places, bound=spec.b, name="synthesized")
@@ -152,8 +148,8 @@ def synthesize(spec: SynthesisSpec, config: RunConfig = DEFAULT_CONFIG,
         log.step("specification contained in synthesized behavior",
                  "slice-language inclusion on saturated reduced automata", contains)
     if not contains:
-        return None
-    return net
+        return None, None
+    return net, achieved
 
 
 def separate(spec: SynthesisSpec, forbidden: SliceAutomaton,
@@ -167,10 +163,9 @@ def separate(spec: SynthesisSpec, forbidden: SliceAutomaton,
     if forbidden.saturated is not True or forbidden.transitively_reduced is not True:
         raise PreconditionError("the forbidden automaton must be saturated and "
                                 "transitively reduced")
-    net = synthesize(spec, config, log)
+    net, achieved = _synthesize(spec, config, log)
     if net is None:
         return None
-    achieved = net_automaton(net, spec.c, spec.sem, config)
     clean = disjoint(achieved, forbidden, config)
     if log:
         log.step("synthesized behavior avoids the forbidden language",

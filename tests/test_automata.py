@@ -4,12 +4,12 @@ import pytest
 
 from slw.automata import (SliceAutomaton, difference, equivalent, from_decompositions,
                           includes, intersect, union, valid_sequences)
-from slw.config import InputError
+from slw.config import InputError, RunConfig
 from slw.constructions import universal_automaton
 from slw.dag import LabeledDag
 from slw.slices import UnitDecomposition, unit_alphabet, unit_decompositions, unit_slice
 
-from conftest import poset_keys
+from conftest import cached_net_automaton, poset_keys
 
 T = ("t",)
 ALPH = unit_alphabet(1, T)
@@ -133,6 +133,13 @@ class TestDecisions:
         assert includes(short_chains, universal_automaton(1, T))
         assert not includes(universal_automaton(1, T), short_chains)
 
+    def test_inclusion_builds_only_the_subsets_it_reads(self):
+        # determinizing all of N2's behavior at c=3 takes 456 states; the
+        # product with N1's behavior reads 9 of them
+        capped = RunConfig(max_states=100)
+        assert includes(cached_net_automaton("N1", 3, "ex"),
+                        cached_net_automaton("N2", 3, "ex"), capped)
+
     def test_po_members_of_universal_one(self):
         mem = universal_automaton(1, T).po_members_up_to(3)
         sizes = sorted((m.n_vertices(), len(m.order)) for m in mem)
@@ -158,3 +165,10 @@ class TestSerialization:
     def test_malformed_header(self):
         with pytest.raises(InputError):
             SliceAutomaton.from_text("automaton c=1\n")
+
+    def test_transition_to_undeclared_state(self):
+        text = chain_automaton().to_text()
+        assert "trans 1 slice{in:1; out:0; center:t; edges: i1->c} 2" in text
+        typo = text.replace("center:t; edges: i1->c} 2", "center:t; edges: i1->c} 7")
+        with pytest.raises(InputError, match="line 7: .*undeclared state '7'"):
+            SliceAutomaton.from_text(typo)

@@ -146,13 +146,29 @@ def _run_cli(args, cwd, seed="0"):
                           capture_output=True, timeout=120)
 
 
+# malformed numbers and literals in input files
+BAD_FILES = {
+    "bad-width.aut": "slice-automaton c=x alphabet=a\nstate 0 initial\n",
+    "open-literal.aut": "slice-automaton c=1 alphabet=a\nstate 0 initial\nstate 1 final\n"
+                        "trans 0 slice{in:0; out:0; center:a; edges:  1\n",
+    "short-trans.aut": "slice-automaton c=1 alphabet=a\nstate 0 initial\ntrans 0\n",
+    "bad-bound.net": "net x bound=x\ntransitions a\nplace init=1 take(a)=1 put(a)=1\n",
+}
+
+
 @pytest.mark.parametrize("args", [
     ["--max-states", "0", "net-automaton", "--net", "n1.net", "--c", "1", "--sem", "ex"],
     ["aut", "members", "n1.aut", "--n", "-1"],
+    ["aut", "empty", "bad-width.aut"],
+    ["aut", "empty", "open-literal.aut"],
+    ["aut", "empty", "short-trans.aut"],
+    ["net-automaton", "--net", "bad-bound.net", "--c", "1", "--sem", "ex"],
 ])
 def test_bad_arguments_exit_three_without_traceback(files, args):
     write, tmp = files
     write("n1.net", N1_TEXT)
+    for name, text in BAD_FILES.items():
+        write(name, text)
     assert main(["net-automaton", "--net", str(tmp / "n1.net"), "--c", "1", "--sem", "ex",
                  "-o", str(tmp / "n1.aut")]) == 0
     result = _run_cli(args, tmp)
@@ -192,6 +208,9 @@ def test_output_does_not_depend_on_hash_seed(tmp_path):
         result = _run_cli(["aut", "intersect", "N1.aut", "N2.aut"], tmp_path, seed)
         assert result.returncode == 0, result.stderr
         out["intersect"] = result.stdout
+        result = _run_cli(["aut", "members", "N2.aut", "--n", "4"], tmp_path, seed)
+        assert result.returncode == 0, result.stderr
+        out["members"] = result.stdout
         result = _run_cli(["--output", "structured", "verify", "--net", "N0.net",
                            "--mso", "total.mso", "--c", "2", "--sem", "ex"], tmp_path, seed)
         assert result.returncode == 1, result.stderr

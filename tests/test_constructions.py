@@ -6,8 +6,8 @@ import random
 import pytest
 
 from slw import constructions
-from slw.automata import (SliceAutomaton, difference, equivalent, from_decompositions,
-                          intersect)
+from slw.automata import (SliceAutomaton, difference, equivalent, explore,
+                          from_decompositions, intersect, union)
 from slw.config import PreconditionError
 from slw.constructions import (check_saturated_upto, coverable_automaton, poset_complement,
                                reduced_automaton, transitive_reduce_automaton,
@@ -109,6 +109,33 @@ def _random_automata(seed: int, count: int):
                                           for u in unit_decompositions(h, 2)])
         out.append(auto)
     return out
+
+
+def _reference_difference(a, b):
+    """L(a) minus L(b) as the product of a with the full determinization of b,
+    -1 being the rejecting sink (the unflagged operands need no flags)."""
+    dfa = b.determinize()
+    delta = dfa.successors()
+
+    def expand(pair):
+        qa, p = pair
+        row = delta[p] if p >= 0 else {}
+        for s, qa2 in a.adj[qa]:
+            p2 = row.get(s)
+            yield s, (qa2, p2[0] if p2 else -1)
+
+    return explore((0, 0), expand, lambda p: p[0] in a.finals and p[1] not in dfa.finals,
+                   a.c, a.labels, a.alphabet, name="reference difference").trim()
+
+
+class TestDifference:
+    def test_on_the_fly_subsets_match_full_determinization(self):
+        autos = _random_automata(seed=11, count=6)
+        # unions behind a fresh initial state are nondeterministic
+        pairs = [union(x, y) for x, y in zip(autos, autos[1:])]
+        for a in autos + pairs:
+            for b in autos + pairs:
+                assert difference(a, b).to_text() == _reference_difference(a, b).to_text()
 
 
 class TestTransitiveReduce:

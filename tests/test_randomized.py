@@ -1,11 +1,15 @@
 """Seeded differential sweeps: compiled automata against the brute-force
 evaluators on randomly generated closed formulas, plus stress probes that
 earlier surfaced edge cases (cyclic-language reduction, complement
-involution, dead transitions)."""
+involution, dead transitions), and random command lines that must end with an
+exit code."""
 
 import random
 
+import pytest
+
 from slw.automata import valid_sequences
+from slw.cli import main
 from slw.compiler import compile_formula, po_automaton
 from slw.constructions import poset_complement, transitive_reduce_automaton
 from slw.dag import all_dags
@@ -16,7 +20,7 @@ from slw.netaut import net_automaton
 from slw.ptnet import Place, PtNet, causal_orders, executions
 from slw.slices import unit_decompositions
 
-from conftest import cached_po_automaton, poset_keys
+from conftest import cached_net_automaton, cached_po_automaton, make_fixture_nets, poset_keys
 from slw import corpus
 
 
@@ -148,3 +152,95 @@ def test_dead_transition_net():
         aut = net_automaton(net, 2, sem)
         assert aut.is_empty()
         assert not oracle(net, 4, 2)
+
+
+# Replacement tokens for mutated input files; no number above 2, so that no
+# mutation can ask for a wide (and huge) unit alphabet.
+_JUNK = ("x", "-1", "0", "2", "}", "{", "=", "", "state", "trans", "final", "!", "(")
+
+
+def _mutate(rng, text):
+    """One random edit of a file: a line dropped or repeated, or one token
+    replaced or cut short."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    roll = rng.randrange(4)
+    if roll == 0:
+        del lines[i]
+    elif roll == 1:
+        lines.insert(i, lines[i])
+    else:
+        tokens = lines[i].split(" ")
+        j = rng.randrange(len(tokens))
+        tokens[j] = rng.choice(_JUNK) if roll == 2 \
+            else tokens[j][:rng.randrange(len(tokens[j]) + 1)]
+        lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+def _random_cli_case(rng, inputs, tmp_path):
+    """A random command line over cheap values: --c <= 2, --b <= 1, a small
+    --max-states. Each option is valid nine times in ten, and otherwise zero,
+    negative or malformed; each file is valid, mutated or missing."""
+    def file(kind):
+        roll = rng.random()
+        if roll < 0.05:
+            return str(tmp_path / f"missing.{kind}")
+        text = rng.choice(inputs[kind])
+        if roll < 0.45:
+            text = _mutate(rng, text)
+        path = tmp_path / f"case{rng.randrange(10**6)}.{kind}"
+        path.write_text(text)
+        return str(path)
+
+    def pick(valid, invalid):
+        return rng.choice(valid if rng.random() < 0.9 else invalid)
+
+    c = ["--c", pick(("1", "2"), ("-1", "0", "x"))]
+    sem = ["--sem", pick(("ex", "cau"), ("no",))]
+    alphabet = ["--alphabet", pick(("a,b", "b,a", "a"), ("", ",", "a,a"))]
+    bounds = ["--b", pick(("1",), ("-1", "0")), "--r", pick(("1", "2"), ("0",))] + c + sem
+    command = rng.choice(("verify", "synth", "safest", "repair", "contract", "compile",
+                          "net-automaton", "aut"))
+    argv = ["--max-states", pick(("40", "400", "3000"), ("-1", "0")),
+            "--max-enum", pick(("3", "6"), ("-1", "0"))]
+    if command == "verify":
+        argv += ["verify", "--net", file("net"), "--mso", file("mso")] + c + sem
+    elif command == "synth":
+        argv += ["synth", "--mso", file("mso")] + alphabet + bounds
+    elif command == "safest":
+        argv += ["safest", "--net", file("net"), "--mso", file("mso")] + bounds
+    elif command == "repair":
+        argv += ["repair", "--net", file("net"), "--keep", file("mso"),
+                 "--allow", file("mso")] + bounds
+    elif command == "contract":
+        argv += ["contract", "--yes", file("mso"), "--no", file("mso")] + alphabet + bounds
+    elif command == "compile":
+        argv += ["compile", "--mso2", file("mso")] + c + alphabet
+    elif command == "net-automaton":
+        argv += ["net-automaton", "--net", file("net")] + c + sem
+    else:
+        op = rng.choice(("union", "intersect", "diff", "complement", "includes", "empty",
+                         "members", "equivalent"))
+        count = 1 if op in ("complement", "empty", "members") else 2
+        argv += ["aut", op] + [file("aut") for _ in range(pick((count,), (3 - count,)))] \
+            + ["--n", pick(("0", "2", "3"), ("-2",))]
+    return argv
+
+
+def test_random_cli_arguments_end_with_an_exit_code(tmp_path, capsys):
+    nets = make_fixture_nets()
+    inputs = {
+        "net": [nets[name].to_text() for name in ("N0", "N1", "N2")],
+        "mso": [corpus.TOTAL_ORDER, corpus.ALTERNATING_AB, corpus.SOME_EDGE, "true"],
+        "aut": [cached_net_automaton("N1", c, "ex").to_text() for c in (1, 2)],
+    }
+    rng = random.Random(5)
+    for _ in range(200):
+        argv = _random_cli_case(rng, inputs, tmp_path)
+        try:
+            code = main(argv)
+        except Exception as err:
+            pytest.fail(f"slw {' '.join(argv)} raised {err!r}")
+        assert code in (0, 1, 2, 3), argv
+        capsys.readouterr()

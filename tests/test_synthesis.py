@@ -2,6 +2,7 @@
 
 import pytest
 
+from slw import synthesis
 from slw.automata import intersect
 from slw.config import PreconditionError
 from slw.dag import LabeledPoset
@@ -112,6 +113,20 @@ class TestSeparate:
         assert net is not None
         assert poset_keys(net_automaton(net, 1, "ex").po_members_up_to(4)) \
             == poset_keys(cached_net_automaton("N1", 1, "ex").po_members_up_to(4))
+
+
+    def test_synthesized_behavior_built_once(self, monkeypatch):
+        built = []
+
+        def spy(net, *args):
+            built.append(net.name)
+            return net_automaton(net, *args)
+
+        monkeypatch.setattr(synthesis, "net_automaton", spy)
+        alt = cached_po_automaton(corpus.ALTERNATING_AB, 1, TAB)
+        bad = cached_po_automaton(corpus.CONSECUTIVE_AA, 1, TAB)
+        assert separate(SynthesisSpec(alt, 1, 1, 1, "ex", TAB), bad) is not None
+        assert built.count("synthesized") == 1
 
 
 class TestVerify:
