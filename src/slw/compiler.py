@@ -1,19 +1,21 @@
 """Compilation of graph formulas to slice automata.
 
-Free variables are realized by annotating letters: every vertex-sorted
-variable contributes one membership bit on the center vertex, every
-edge-sorted variable a membership mark on each edge born at the letter (an
-edge is born where its source vertex is the center). Marks of open edges do
-not travel on frontiers; the primitive automata that need them track marked
-open channels in their states instead.
+A subformula compiles over its own free variables, its context, sorted:
+each letter carries one mark per context variable. A vertex-sorted variable
+marks the center vertex or not; an edge-sorted variable marks a set of the
+edges born at the letter (an edge is born where its source vertex is the
+center). Marks of open edges do not travel on frontiers; the primitive
+automata that need them track marked open channels in their states instead.
 
 The induction: atoms become primitive automata intersected with the
 well-formed language (valid letter sequences with exactly-one marks per
-first-order variable); conjunction and disjunction become product and union;
+first-order variable); conjunction and disjunction move both sides to the
+union of their contexts (`cylindrify`) and become product and union;
 negation is complement relative to the well-formed language; an existential
-quantifier erases its variable's annotation layer. Variables are resolved
-lexically: an atom reads the layer of its variable's innermost binder, so
-shadowing needs no renaming.
+quantifier marks its variable, then projects the mark away. A closed
+subformula compiles over the bare unit alphabet wherever it occurs, and
+shadowing needs no renaming: the free variable of a body is always its
+innermost binder's.
 """
 
 from __future__ import annotations
@@ -28,19 +30,23 @@ from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
 from . import mso
 from .mso import (And, Coverable, EdgeSource, EdgeTarget, Exists, HasLabel, InSet,
                   Not, Or, PathAtom, Reduced, Truth, Var,
-                  EDGE, ESET, VERTEX, VSET, to_graph_formula, to_text)
+                  EDGE, VERTEX, VSET, to_graph_formula, to_text)
 from .constructions import coverable_automaton, reduced_automaton, universal_automaton
 from .slices import Slice, unit_alphabet
 
 
 class AnnLetter(NamedTuple):
-    """A unit slice annotated with variable-membership marks."""
+    """A unit slice with one mark per variable of its context, in context
+    order: a bool for a vertex or vertex-set variable (is the center vertex
+    marked?), the frozenset of marked born ports for an edge or edge-set
+    variable."""
     base: Slice
-    vbits: tuple
-    ebits: tuple
+    marks: tuple
 
 
-_VLIKE, _ELIKE = (VERTEX, VSET), (EDGE, ESET)
+def _context(phi) -> tuple:
+    """The variables phi's automaton annotates: its free ones, sorted."""
+    return tuple(sorted(mso.free_vars(phi)))
 
 
 def _sorts(ctx: tuple) -> tuple:
@@ -49,22 +55,10 @@ def _sorts(ctx: tuple) -> tuple:
     return tuple(v.sort for v in ctx)
 
 
-def _layer(sorts: tuple, i: int) -> int:
-    """The annotation layer of context position i: vertex-like variables
-    index `vbits`, edge-like ones `ebits`, both in binding order."""
-    kinds = _VLIKE if sorts[i] in _VLIKE else _ELIKE
-    return sum(1 for s in sorts[:i] if s in kinds)
-
-
-def _pos(ctx: tuple, var: Var) -> int:
-    """The annotation layer of var's innermost binder in ctx."""
-    return _layer(_sorts(ctx), max(i for i, v in enumerate(ctx) if v == var))
-
-
 @lru_cache(maxsize=None)
 def annotated_alphabet(c: int, labels: tuple, sorts: tuple) -> tuple:
-    """The (c, T) unit alphabet with one annotation layer per variable of a
-    context with these sorts.
+    """The (c, T) unit alphabet with one mark per variable of a context with
+    these sorts.
 
     First-order edge variables mark at most one born edge per letter; their
     global exactly-one constraint is the well-formed language's job.
@@ -72,19 +66,16 @@ def annotated_alphabet(c: int, labels: tuple, sorts: tuple) -> tuple:
     base = unit_alphabet(c, labels)
     if not sorts:
         return base
-    nv = sum(1 for s in sorts if s in _VLIKE)
     letters = []
     for s in base:
         born = s.born_ports()
-        per_var = [[frozenset()] + [frozenset([o]) for o in born] if sort == EDGE
+        per_var = [(False, True) if sort in (VERTEX, VSET)
+                   else [frozenset()] + [frozenset([o]) for o in born] if sort == EDGE
                    else [frozenset(sub) for r in range(len(born) + 1)
                          for sub in itertools.combinations(born, r)]
-                   for sort in sorts if sort in _ELIKE]
-        letters += [AnnLetter(s, vbits, ebits)
-                    for vbits in itertools.product((False, True), repeat=nv)
-                    for ebits in itertools.product(*per_var)]
-    return tuple(sorted(letters, key=lambda a: (a.base.sort_key(), a.vbits,
-                                                tuple(tuple(sorted(m)) for m in a.ebits))))
+                   for sort in sorts]
+        letters += [AnnLetter(s, marks) for marks in itertools.product(*per_var)]
+    return tuple(letters)
 
 
 @lru_cache(maxsize=None)
@@ -93,11 +84,10 @@ def well_formed(c: int, labels: tuple, sorts: tuple,
     """Valid letter sequences in which every first-order variable is marked
     exactly once across the word."""
     alphabet = annotated_alphabet(c, labels, sorts)
-    fo = [(sort == VERTEX, _layer(sorts, i))
-          for i, sort in enumerate(sorts) if sort in (VERTEX, EDGE)]
+    fo = [i for i, sort in enumerate(sorts) if sort in (VERTEX, EDGE)]
     by_width = {}
     for s in alphabet:
-        marks = tuple(int(s.vbits[j]) if vertex else len(s.ebits[j]) for vertex, j in fo)
+        marks = tuple(int(s.marks[i]) if sorts[i] == VERTEX else len(s.marks[i]) for i in fo)
         by_width.setdefault(letter_base(s).n_in, []).append((s, marks))
     start = ("start",)
 
@@ -125,16 +115,27 @@ def _filter_letters(auto: SliceAutomaton, pred) -> SliceAutomaton:
                             {s: (s,) if pred(s) else () for s in auto.alphabet}).trim()
 
 
-def cylindrify(auto: SliceAutomaton, c: int, labels: tuple, sorts: tuple) -> SliceAutomaton:
-    """Lift an automaton over base letters to the annotated alphabet of a
-    context with these sorts."""
-    if not sorts:
+def cylindrify(auto: SliceAutomaton, c: int, labels: tuple, frm: tuple, to: tuple,
+               config: RunConfig = DEFAULT_CONFIG) -> SliceAutomaton:
+    """Move an automaton from context `frm` to context `to`: each letter
+    becomes every letter of `to` with the same base and the same marks on
+    the variables both contexts hold. The marks of variables only in `frm`
+    are projected away; a first-order variable only in `to` must then be
+    marked exactly once, so the result is cut down to the well-formed
+    language."""
+    if frm == to:
         return auto
-    alphabet = annotated_alphabet(c, labels, sorts)
-    by_base = {s: [] for s in auto.alphabet}
+    alphabet = annotated_alphabet(c, labels, _sorts(to))
+    shared = [v for v in to if v in frm]
+    src, dst = [frm.index(v) for v in shared], [to.index(v) for v in shared]
+    by_key = {}
     for s in alphabet:
-        by_base[s.base].append(s)
-    return auto.map_letters(alphabet, by_base)
+        by_key.setdefault((letter_base(s), tuple(s.marks[i] for i in dst)), []).append(s)
+    out = auto.map_letters(alphabet, {s: by_key[letter_base(s), tuple(s.marks[i] for i in src)]
+                                      for s in auto.alphabet})
+    if any(v.sort in (VERTEX, EDGE) for v in to if v not in frm):
+        return intersect(out, well_formed(c, labels, _sorts(to), config), config)
+    return out
 
 
 # -- primitive automata for the stateful atoms -------------------------------------
@@ -162,10 +163,10 @@ def _tracker(c: int, labels: tuple, ctx: tuple, step, name: str,
 def _target_tracker(c: int, labels: tuple, ctx: tuple, yvar: Var, xvar: Var,
                     config: RunConfig) -> SliceAutomaton:
     """t(y,x): the edge marked y closes at the letter marked x."""
-    ypos, xpos = _pos(ctx, yvar), _pos(ctx, xvar)
+    ypos, xpos = ctx.index(yvar), ctx.index(xvar)
 
     def step(phase, s):
-        ymarks = s.ebits[ypos]
+        ymarks = s.marks[ypos]
         if phase == "pre":
             if len(ymarks) > 1:
                 return None
@@ -176,7 +177,7 @@ def _target_tracker(c: int, labels: tuple, ctx: tuple, yvar: Var, xvar: Var,
             return "done"
         port = phase[1]
         if port in s.base.closing_ports():
-            return "done" if s.vbits[xpos] else None
+            return "done" if s.marks[xpos] else None
         return ("riding", s.base.bypass_map()[port])
 
     return _tracker(c, labels, ctx, step, "edge-target tracker", config)
@@ -189,11 +190,11 @@ def _path_tracker(c: int, labels: tuple, ctx: tuple,
     the x2-marked vertex whose internal vertices are exactly the X-marked ones.
 
     One Y-marked channel is open at any time; the pointer follows it."""
-    p1, px, p2, py = (_pos(ctx, v) for v in (x1, xset, x2, yset))
+    p1, px, p2, py = (ctx.index(v) for v in (x1, xset, x2, yset))
 
     def step(phase, s):
-        isx1, in_x, isx2 = s.vbits[p1], s.vbits[px], s.vbits[p2]
-        born_y = s.ebits[py]
+        isx1, in_x, isx2 = s.marks[p1], s.marks[px], s.marks[p2]
+        born_y = s.marks[py]
         if phase == "pre":
             if in_x or isx2:
                 return None
@@ -229,7 +230,7 @@ def compile_formula(phi, c: int, labels: Sequence,
     if mso.free_vars(phi):
         names = sorted(v.name for v in mso.free_vars(phi))
         raise InputError(f"compilation needs a closed formula; free: {names}")
-    return _compile(phi, c, tuple(labels), (), config)
+    return _compile(phi, c, tuple(labels), config)
 
 
 def po_automaton(phi, c: int, labels: Sequence,
@@ -245,10 +246,12 @@ def po_automaton(phi, c: int, labels: Sequence,
     return out.with_flags(saturated=True, transitively_reduced=True)
 
 
-def _compile(phi, c: int, labels: tuple, ctx: tuple,
-             config: RunConfig) -> SliceAutomaton:
-    sorts = _sorts(ctx)
-    wf = lambda: well_formed(c, labels, sorts, config)
+def _compile(phi, c: int, labels: tuple, config: RunConfig) -> SliceAutomaton:
+    """phi's automaton over the annotated alphabet of its context."""
+    ctx = _context(phi)
+    wf = lambda: well_formed(c, labels, _sorts(ctx), config)
+    to_ctx = lambda sub: cylindrify(_compile(sub, c, labels, config), c, labels,
+                                    _context(sub), ctx, config)
     try:
         match phi:
             case Truth(value=v):
@@ -257,42 +260,38 @@ def _compile(phi, c: int, labels: tuple, ctx: tuple,
                 base = wf()
                 return SliceAutomaton(c, labels, base.alphabet, base.initial, (), ())
             case InSet(elem=e, coll=cl):
-                ep, cp = _pos(ctx, e), _pos(ctx, cl)
+                ep, cp = ctx.index(e), ctx.index(cl)
                 if e.sort == VERTEX:
-                    return _filter_letters(wf(), lambda s: not (s.vbits[ep] and not s.vbits[cp]))
-                return _filter_letters(wf(), lambda s: s.ebits[ep] <= s.ebits[cp])
-            case HasLabel(vertex=v, label=lab):
-                vp = _pos(ctx, v)
-                return _filter_letters(
-                    wf(), lambda s: not (s.vbits[vp] and s.base.label != lab))
+                    return _filter_letters(wf(), lambda s: not (s.marks[ep] and not s.marks[cp]))
+                return _filter_letters(wf(), lambda s: s.marks[ep] <= s.marks[cp])
+            case HasLabel(label=lab):  # the context is the vertex alone
+                return _filter_letters(wf(), lambda s: not (s.marks[0] and s.base.label != lab))
             case EdgeSource(edge=y, vertex=x):
-                yp, xp = _pos(ctx, y), _pos(ctx, x)
+                yp, xp = ctx.index(y), ctx.index(x)
                 return _filter_letters(
-                    wf(), lambda s: not (s.ebits[yp] and not s.vbits[xp]))
+                    wf(), lambda s: not (s.marks[yp] and not s.marks[xp]))
             case EdgeTarget(edge=y, vertex=x):
                 return intersect(_target_tracker(c, labels, ctx, y, x, config), wf(), config)
             case PathAtom(src=a, vset=x, eset=y, dst=b):
                 return intersect(_path_tracker(c, labels, ctx, a, x, y, b, config), wf(),
                                  config)
             case Reduced():
-                return intersect(
-                    cylindrify(reduced_automaton(c, labels, config), c, labels, sorts),
-                    wf(), config)
+                return intersect(reduced_automaton(c, labels, config), wf(), config)
             case Coverable(count=k):
-                return intersect(
-                    cylindrify(coverable_automaton(c, labels, k, config), c, labels, sorts),
-                    wf(), config)
+                return intersect(coverable_automaton(c, labels, k, config), wf(), config)
             case Not(body=b):
-                return difference(wf(), _compile(b, c, labels, ctx, config), config)
+                return difference(wf(), _compile(b, c, labels, config), config)
             case And(left=a, right=b):
-                return intersect(_compile(a, c, labels, ctx, config),
-                                 _compile(b, c, labels, ctx, config), config)
+                return intersect(to_ctx(a), to_ctx(b), config)
             case Or(left=a, right=b):
-                return union(_compile(a, c, labels, ctx, config),
-                             _compile(b, c, labels, ctx, config))
+                return union(to_ctx(a), to_ctx(b))
             case Exists(var=v, body=b):
-                inner = _compile(b, c, labels, ctx + (v,), config)
-                return _erase(inner, c, labels, sorts, v.sort).trim()
+                # marking v first keeps a first-order v that b does not read
+                # bound to exactly one element: EX y:e. true is false without edges
+                inner, body_ctx = _compile(b, c, labels, config), _context(b)
+                with_v = tuple(sorted(set(body_ctx) | {v}))
+                return cylindrify(cylindrify(inner, c, labels, body_ctx, with_v, config),
+                                  c, labels, with_v, ctx, config)
         raise InputError(f"not a compilable formula node: {phi!r}")
     except ResourceError as err:
         if err.context and "subformula" in err.context:
@@ -303,16 +302,3 @@ def _compile(phi, c: int, labels: tuple, ctx: tuple,
 
 def _clip(text: str, n: int = 80) -> str:
     return text if len(text) <= n else text[: n - 3] + "..."
-
-
-def _erase(auto: SliceAutomaton, c: int, labels: tuple, sorts: tuple,
-           sort: str) -> SliceAutomaton:
-    """Project away the annotation layer of the innermost variable, of the
-    given sort, bound inside a context with these sorts."""
-    drop = _layer(sorts + (sort,), len(sorts))
-    if sort in _VLIKE:
-        down = lambda s: s._replace(vbits=s.vbits[:drop] + s.vbits[drop + 1:])
-    else:
-        down = lambda s: s._replace(ebits=s.ebits[:drop] + s.ebits[drop + 1:])
-    return auto.map_letters(annotated_alphabet(c, labels, sorts),
-                            {s: (down(s) if sorts else s.base,) for s in auto.alphabet})

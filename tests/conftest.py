@@ -86,8 +86,10 @@ def poset_keys(posets) -> set:
     return {p.canonical_key() for p in posets}
 
 
+@lru_cache(maxsize=None)
 def exhaustive_min_path_cover(h: LabeledDag) -> int:
-    """Independent oracle: smallest set of simple paths covering V and E."""
+    """Independent oracle: smallest set of simple paths covering V and E.
+    Cached, so the n <= 5 sweeps of test_dag and acceptance 7 search once."""
     if h.n_vertices() == 0:
         return 0
     paths = []

@@ -8,7 +8,8 @@ from slw.compiler import compile_formula
 from slw.config import InputError, ResourceError, RunConfig
 from slw.constructions import check_saturated_upto, universal_automaton
 from slw.dag import all_dags
-from slw.mso import And, Coverable, Not, Reduced, Truth, evaluate_dag, parse
+from slw.mso import (And, Coverable, Exists, Not, Or, Reduced, Truth, evaluate_dag, free_vars,
+                     parse, to_graph_formula)
 from slw.slices import unit_decompositions
 
 from conftest import cached_po_automaton, hasse_sweep
@@ -78,9 +79,13 @@ class TestScoping:
     @pytest.mark.parametrize("text", [
         "EX x. (l(x,a) & EX x. l(x,b))",
         "EX x. (l(x,a) & EX y:e. (s(y,x) & EX x. (t(y,x) & l(x,b))))",
+        # a quantified variable its body does not read still names one element
+        "EX y:e. EX x. l(x,a)",
+        "!(EX y:e. true)",
+        "EX x. EX Y:e. l(x,a)",
     ])
     def test_shadowing_agrees_with_evaluator(self, text):
-        # an atom reads its variable's innermost binder
+        # a free variable of a body is its innermost binder's
         psi = parse(text)
         for c in (1, 2):
             aut = compile_formula(psi, c, ("a", "b"))
@@ -99,6 +104,33 @@ class TestScoping:
         monkeypatch.setattr(compiler, "well_formed", spy)
         compile_formula(parse("(EX x. l(x,a)) & (EX y. l(y,b))"), 1, ("a", "b"))
         assert len(built) == 2 and built[0] is built[1]
+
+
+    def test_subformulas_compile_over_their_free_variables(self, monkeypatch):
+        # even-chain binds 8 variables around its deepest atoms, but no
+        # subformula reads more than 4 of them
+        phi = to_graph_formula(parse(corpus.EVEN_CHAIN))
+        widest = max(len(free_vars(sub)) for sub in _subformulas(phi))
+        original, signatures = compiler.annotated_alphabet, []
+
+        def spy(c, labels, sorts):
+            signatures.append(sorts)
+            return original(c, labels, sorts)
+
+        monkeypatch.setattr(compiler, "annotated_alphabet", spy)
+        compile_formula(phi, 1, ("a", "b"))
+        assert widest == 4
+        assert signatures and max(map(len, signatures)) <= widest
+
+
+def _subformulas(phi):
+    yield phi
+    match phi:
+        case Not(body=b) | Exists(body=b):
+            yield from _subformulas(b)
+        case And(left=a, right=b) | Or(left=a, right=b):
+            yield from _subformulas(a)
+            yield from _subformulas(b)
 
 
 class TestPoAutomaton:
