@@ -16,7 +16,7 @@ from typing import Optional
 
 from .automata import SliceAutomaton, difference, explore, includes, letter_base
 from .config import DEFAULT_CONFIG, InputError, PreconditionError, RunConfig
-from .slices import Slice, unit_alphabet, unit_decompositions
+from .slices import Slice, unit_alphabet, unit_decompositions, unit_slice
 
 START = "start"   # the tag of the initial summary, which is never final
 
@@ -204,12 +204,17 @@ def transitive_reduce_automaton(a: SliceAutomaton,
             fr = _Frontier(channels, reach, letter_base(s))
             if not _tags_consistent(fr, tags):
                 continue
-            out_letter, bypass_tag_slots = _emit_reduced_letter(fr, tags)
+            real_in = [p for p, t in enumerate(tags, 1) if t == "r"]
+            new_tags = [None] * len(fr.new_channels)
+            for p, o in fr.port_map.items():
+                new_tags[o - 1] = tags[p - 1]
             for born_tags in itertools.product("rg", repeat=len(fr.born_ports)):
-                new_tags = list(bypass_tag_slots)
                 for o, t in zip(fr.born_ports, born_tags):
                     new_tags[o - 1] = t
-                yield (_attach_born(out_letter, fr, born_tags),
+                real_out = [o for o, t in enumerate(new_tags, 1) if t == "r"]
+                bypass = {real_in.index(p) + 1: real_out.index(o) + 1
+                          for p, o in fr.port_map.items() if tags[p - 1] == "r"}
+                yield (unit_slice(fr.letter.label, len(real_in), len(real_out), bypass),
                        (q2, fr.new_channels, fr.new_reach, tuple(new_tags)))
 
     return explore((0, (), frozenset(), ()), expand,
@@ -234,47 +239,6 @@ def _tags_consistent(fr: _Frontier, tags: tuple) -> bool:
             if not (redundant or has_real_sibling):
                 return False
     return True
-
-
-def _emit_reduced_letter(fr: _Frontier, tags: tuple):
-    """Edges of the output letter contributed by existing real channels; born
-    channels are attached separately per tag guess."""
-    in_rank = {}
-    for p in range(1, len(tags) + 1):
-        if tags[p - 1] == "r":
-            in_rank[p] = len(in_rank) + 1
-    edges = []
-    for p in fr.closing_ports:
-        if tags[p - 1] == "r":
-            edges.append((("i", in_rank[p]), ("c", 0)))
-    bypass_tag_slots = ["g"] * len(fr.new_channels)
-    for p, o in fr.port_map.items():
-        bypass_tag_slots[o - 1] = tags[p - 1]
-    return (len(in_rank), tuple(edges), dict(fr.port_map), in_rank), bypass_tag_slots
-
-
-def _attach_born(partial, fr: _Frontier, born_tags: tuple) -> Slice:
-    n_in, edges, port_map, in_rank = partial
-    new_tags = {}
-    for p, o in port_map.items():
-        new_tags[o] = "r" if p in in_rank else None
-        if new_tags[o] == "r":
-            new_tags[o] = ("bypass", in_rank[p])
-    for o, t in zip(fr.born_ports, born_tags):
-        new_tags[o] = "born" if t == "r" else None
-    out_rank = {}
-    for o in sorted(new_tags):
-        if new_tags[o] is not None:
-            out_rank[o] = len(out_rank) + 1
-    all_edges = list(edges)
-    for o, t in new_tags.items():
-        if t is None:
-            continue
-        if t == "born":
-            all_edges.append((("c", 0), ("o", out_rank[o])))
-        else:
-            all_edges.append((("i", t[1]), ("o", out_rank[o])))
-    return Slice(n_in, len(out_rank), (fr.letter.label,), all_edges)
 
 
 def poset_complement(a: SliceAutomaton, config: RunConfig = DEFAULT_CONFIG) -> SliceAutomaton:

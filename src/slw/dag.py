@@ -162,18 +162,48 @@ class LabeledDag:
     def min_path_cover(self) -> tuple[int, list[list]]:
         """Minimum number of simple paths covering every vertex and every edge.
 
-        Paths may share vertices and edges. Computed as a minimum integral flow
-        with lower bound 1 on every DAG edge between a super-source attached to
-        all sources and a super-sink attached to all sinks, decomposed into
-        source-to-sink paths; isolated vertices each contribute one trivial path.
+        Paths may share vertices and edges. Order the edges by "some path runs
+        through e, then f": head(e) = tail(f) or head(e) reaches tail(f).
+        Parallel edges are incomparable. A path covers a chain of this order,
+        and every chain extends to a path, so by Dilworth's theorem in
+        Fulkerson's bipartite form the fewest covering paths number |E| minus
+        a maximum matching from each edge to a later one, plus one trivial
+        path per isolated vertex. Each witness path runs from its chain's
+        first edge to its last edge, not necessarily from a source to a sink.
         """
-        isolated = [v for v in self.vertices
-                    if self.in_degree(v) == 0 and self.out_degree(v) == 0]
-        paths = [[v] for v in isolated]
-        if not self.edges:
-            return len(paths), paths
-        flows = _min_flow_cover(self)
-        paths.extend(_decompose_flow(self, flows))
+        reach, index, edges = self.reach_masks(), self._index, self.edges
+
+        def leads(v, x) -> bool:
+            return v == x or bool((reach[index[v]] >> index[x]) & 1)
+
+        later = [[f for f, (x, _) in enumerate(edges) if leads(v, x)] for _, v in edges]
+        before = [None] * len(edges)  # before[f]: the edge matched to later edge f
+
+        def augment(e, seen) -> bool:
+            for f in later[e]:
+                if f not in seen:
+                    seen.add(f)
+                    if before[f] is None or augment(before[f], seen):
+                        before[f] = e
+                        return True
+            return False
+
+        for e in range(len(edges)):
+            augment(e, set())
+        after = {e: f for f, e in enumerate(before) if e is not None}
+        touched = {v for edge in edges for v in edge}
+        paths = [[v] for v in self.vertices if v not in touched]
+        for e in range(len(edges)):
+            if before[e] is not None:
+                continue
+            path = list(edges[e])
+            while e in after:
+                e = after[e]
+                x, y = edges[e]
+                while path[-1] != x:
+                    path.append(next(w for w in self.successors(path[-1]) if leads(w, x)))
+                path.append(y)
+            paths.append(path)
         return len(paths), paths
 
     # -- serialization -----------------------------------------------------------
@@ -255,128 +285,6 @@ class LabeledPoset:
 
     def canonical_key(self):
         return canonical_digraph_key(self.labels, self.order)
-
-
-# -- flow machinery for the path cover ------------------------------------------
-
-
-def _min_flow_cover(dag: LabeledDag) -> Counter:
-    """Integral min flow meeting lower bound 1 on every DAG edge.
-
-    Returns a Counter over arcs (u, v), including arcs from 'SRC' and to 'SNK'.
-    Standard lower-bound feasibility transform followed by flow reduction
-    against the return arc.
-    """
-    net = _FlowNet()
-    src, snk = ("SRC",), ("SNK",)
-    big = len(dag.edges) + dag.n_vertices() + 2
-    for v in dag.vertices:
-        if dag.in_degree(v) == 0 and dag.out_degree(v) > 0:
-            net.add(src, ("v", v), big)
-        if dag.out_degree(v) == 0 and dag.in_degree(v) > 0:
-            net.add(("v", v), snk, big)
-    edge_arcs = [net.add(("v", u), ("v", v), big - 1) for u, v in dag.edges]
-
-    ssrc, ssnk = ("SSRC",), ("SSNK",)
-    for u, v in dag.edges:
-        net.add(ssrc, ("v", v), 1)
-        net.add(("v", u), ssnk, 1)
-    ret = net.add(snk, src, big * big)
-    sat = net.max_flow(ssrc, ssnk)
-    assert sat == len(dag.edges), "lower-bound feasibility must hold on a DAG"
-    net.disable(ret)
-    net.max_flow(snk, src)  # reduce the s-t flow to its minimum
-
-    flows = Counter()
-    for (u, v) in dag.edges:
-        flows[(u, v)] += 1  # the lower bound itself
-    for (a, b), f in net.arc_flows():
-        if a[0] == "v" and b[0] == "v":
-            flows[(a[1], b[1])] += f
-        elif a == src:
-            flows[("SRC", b[1])] += f
-        elif b == snk:
-            flows[(a[1], "SNK")] += f
-    return Counter({k: f for k, f in flows.items() if f > 0})
-
-
-def _decompose_flow(dag: LabeledDag, flows: Counter) -> list[list]:
-    remaining = Counter(flows)
-    paths = []
-    while True:
-        start = next((v for v in dag.vertices if remaining[("SRC", v)] > 0), None)
-        if start is None:
-            break
-        remaining[("SRC", start)] -= 1
-        v, path = start, [start]
-        while True:
-            nxt = next((w for w in sorted(set(dag.successors(v)), key=repr)
-                        if remaining[(v, w)] > 0), None)
-            if nxt is None:
-                assert remaining[(v, "SNK")] > 0, "flow conservation violated"
-                remaining[(v, "SNK")] -= 1
-                break
-            remaining[(v, nxt)] -= 1
-            path.append(nxt)
-            v = nxt
-        paths.append(path)
-    return paths
-
-
-class _FlowNet:
-    """Tiny arc-list max-flow network (Edmonds-Karp); supports parallel arcs."""
-
-    def __init__(self):
-        self.head = []
-        self.tail = []
-        self.cap = []
-        self.adj = {}
-
-    def add(self, u, v, capacity: int) -> int:
-        idx = len(self.head)
-        self.adj.setdefault(u, []).append(idx)
-        self.adj.setdefault(v, []).append(idx + 1)
-        self.head += [v, u]
-        self.tail += [u, v]
-        self.cap += [capacity, 0]
-        return idx
-
-    def disable(self, arc: int):
-        self.cap[arc] = 0
-        self.cap[arc ^ 1] = 0
-
-    def arc_flows(self):
-        """Flow on every forward arc (reverse residual), if positive."""
-        for idx in range(0, len(self.head), 2):
-            if self.cap[idx ^ 1] > 0:
-                yield (self.tail[idx], self.head[idx]), self.cap[idx ^ 1]
-
-    def max_flow(self, s, t) -> int:
-        total = 0
-        while True:
-            parent_arc = {s: None}
-            queue = deque([s])
-            while queue and t not in parent_arc:
-                u = queue.popleft()
-                for idx in self.adj.get(u, ()):
-                    v = self.head[idx]
-                    if self.cap[idx] > 0 and v not in parent_arc:
-                        parent_arc[v] = idx
-                        queue.append(v)
-            if t not in parent_arc:
-                return total
-            bottleneck, v = None, t
-            while v != s:
-                idx = parent_arc[v]
-                bottleneck = self.cap[idx] if bottleneck is None else min(bottleneck, self.cap[idx])
-                v = self.tail[idx]
-            v = t
-            while v != s:
-                idx = parent_arc[v]
-                self.cap[idx] -= bottleneck
-                self.cap[idx ^ 1] += bottleneck
-                v = self.tail[idx]
-            total += bottleneck
 
 
 # -- canonical forms / isomorphism ------------------------------------------------

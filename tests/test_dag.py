@@ -1,6 +1,7 @@
 """Closure, reduction, path covers and canonical forms."""
 
 import itertools
+import random
 
 import pytest
 
@@ -88,22 +89,51 @@ class TestPathCover:
     def test_flow_equals_exhaustive_up_to_five(self):
         for n in range(1, 6):
             for h in all_dags(n, ["t"]):
-                count, paths = h.min_path_cover()
-                assert count == exhaustive_min_path_cover(h), h
-                # witness really covers
-                covered_v = set().union(*(set(p) for p in paths)) if paths else set()
-                covered_e = [(p[i], p[i + 1]) for p in paths for i in range(len(p) - 1)]
-                assert covered_v == set(h.vertices)
-                assert set(covered_e) >= set(h.edges)
+                _assert_exact_cover(h)
+
+    def test_six_vertices_beyond_degree_excess(self):
+        # two sources funnel through p -> w into two sinks: two paths suffice,
+        # but the positive out-minus-in excess is three
+        h = LabeledDag({v: "t" for v in ("s1", "s2", "p", "w", "t1", "t2")},
+                       [("s1", "p"), ("s2", "p"), ("p", "w"), ("w", "t1"), ("w", "t2")])
+        assert sum(max(0, h.out_degree(v) - h.in_degree(v)) for v in h.vertices) == 3
+        assert _assert_exact_cover(h) == 2
+
+    def test_witness_walks_between_chained_edges(self):
+        # two sources funnel into the chain 2 -> 3 -> 4 -> 5; a chain of the
+        # edge order may pair (1, 2) with (4, 5), and its path must then walk
+        # 2 -> 3 -> 4 instead of jumping over the non-edge (2, 4)
+        h = LabeledDag({v: "t" for v in range(6)}, [(0, 2), (1, 2), (2, 3), (3, 4), (4, 5)])
+        assert _assert_exact_cover(h) == 2
+
+    def test_random_six_vertex_dags(self):
+        rng = random.Random(6)
+        pairs = list(itertools.combinations(range(6), 2))
+        for _ in range(20):
+            edges = [e for e in pairs if rng.random() < 0.35]
+            _assert_exact_cover(LabeledDag({v: "t" for v in range(6)}, edges))
 
     def test_flow_equals_degree_excess_identity(self):
-        # independent identity: sum of positive out-in imbalances plus isolated vertices
+        # cross-check below six vertices: there the minimum equals the sum of
+        # positive out-in imbalances plus isolated vertices; from six vertices
+        # on it does not (see test_six_vertices_beyond_degree_excess)
         for n in range(1, 6):
             for h in all_dags(n, ["t"]):
                 excess = sum(max(0, h.out_degree(v) - h.in_degree(v)) for v in h.vertices)
                 isolated = sum(1 for v in h.vertices
                                if h.in_degree(v) == 0 and h.out_degree(v) == 0)
                 assert h.min_path_cover()[0] == excess + isolated
+
+
+def _assert_exact_cover(h: LabeledDag) -> int:
+    """The cover is minimal by exhaustive search, and its witness paths are
+    simple and use exactly the DAG's vertices and edges."""
+    count, paths = h.min_path_cover()
+    assert count == len(paths) == exhaustive_min_path_cover(h), h
+    assert all(len(set(p)) == len(p) for p in paths), paths
+    assert set().union(*map(set, paths)) == set(h.vertices), paths
+    assert {(p[i], p[i + 1]) for p in paths for i in range(len(p) - 1)} == set(h.edges), paths
+    return count
 
 
 class TestSerialization:
