@@ -14,9 +14,12 @@ ordered by hash or by `repr`. Every exploration is capped by
 `RunConfig.max_states`, and the ResourceError names the construction.
 
 Automata are immutable and Boolean operations return fresh automata. Nothing
-is memoized but the per-state successor index; a difference walks the subsets
-of its right operand on the fly, building only those its left operand's words
-reach.
+is memoized on an automaton but its per-state successor index. A difference
+walks the subsets of its right operand on the fly, building only those its
+left operand's words reach. An inclusion builds no automaton at all: it walks
+the left operand against subsets of the right one and stops at the first
+counterexample, and its right operand may be a successor function, such as a
+token game that is played only as far as the walk reads it.
 """
 
 from __future__ import annotations
@@ -472,11 +475,59 @@ def difference(a: SliceAutomaton, b: SliceAutomaton,
                    transitively_reduced=True if a.transitively_reduced else None).trim()
 
 
+def _included(a: SliceAutomaton, start, step, accepting, config: RunConfig, *,
+              name: str) -> bool:
+    """True iff every word of `a` leads the right operand from `start` to an
+    accepting key: `step(key, letter)` gives the keys one letter leads to.
+
+    A breadth-first walk over pairs (state of a, set of right-operand keys);
+    it returns False at the first edge into a final state of a whose set holds
+    no accepting key, so only the pairs before the first counterexample are
+    read, and `step` only on the keys they hold. `step` is memoized for the one
+    walk. Reading more than `config.max_states` pairs raises a ResourceError
+    naming `name`.
+    """
+    a_adj, a_finals = a.adj, a.finals
+    memo = {}
+
+    def image(keys, letter):
+        out = set()
+        for key in keys:
+            nxt = memo.get((key, letter))
+            if nxt is None:
+                nxt = memo[key, letter] = tuple(step(key, letter))
+            out.update(nxt)
+        return frozenset(out)
+
+    first = (0, frozenset([start]))
+    seen = {first}
+    queue = deque([first])
+    while queue:
+        qa, keys = queue.popleft()
+        for letter, qa2 in a_adj[qa]:
+            keys2 = image(keys, letter)
+            if qa2 in a_finals and not any(accepting(k) for k in keys2):
+                return False
+            pair = (qa2, keys2)
+            if pair not in seen:
+                if len(seen) >= config.max_states:
+                    raise ResourceError(f"state cap exceeded in {name}",
+                                        context=f"max_states={config.max_states}")
+                seen.add(pair)
+                queue.append(pair)
+    return True
+
+
 def includes(a: SliceAutomaton, b: SliceAutomaton,
              config: RunConfig = DEFAULT_CONFIG) -> bool:
-    """True iff L(a) ⊆ L(b). With b saturated and both transitively reduced,
+    """True iff L(a) ⊆ L(b), by one walk of a against the subsets of b's
+    states that stops at the first counterexample; b is never determinized or
+    complemented as a whole. With b saturated and both transitively reduced,
     this decides poset-language inclusion as well."""
-    return difference(a, b, config).is_empty()
+    _require_same_alphabet(a, b)
+    succ, finals = b.successors(), b.finals
+    return _included(a, 0, lambda q, s: succ[q].get(s, ()), finals.__contains__, config,
+                     name="inclusion")
 
 
 def disjoint(a: SliceAutomaton, b: SliceAutomaton,

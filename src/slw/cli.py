@@ -283,8 +283,8 @@ def _cmd_aut(args, config, log) -> int:
         return 0 if ok else 1
     members = auts[0].po_members_up_to(args.n, config)
     for po in members:
-        labels = ",".join(str(po.labels[v]) for v in po.vertices)
-        order = ";".join(f"{u}<{v}" for u, v in sorted(po.order, key=repr))
+        labels = ",".join(str(po.labels[v]) for v in sorted(po.labels))
+        order = ";".join(f"{u}<{v}" for u, v in sorted(po.order))
         print(f"poset vertices={len(po.vertices)} labels={labels} order={order}")
     return 0
 

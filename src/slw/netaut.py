@@ -40,26 +40,47 @@ def net_automaton(net: PtNet, c: int, sem: str,
     so the construction terminates even on probe places that would otherwise
     be unbounded; callers wanting genuine b-boundedness use check_bounded.
     """
+    start, step, is_final, univ = token_game(net, c, sem, config)
+    succ = univ.successors()
+
+    def expand(state):
+        for letter in succ[state[0]]:
+            for nxt in step(state, letter):
+                yield letter, nxt
+
+    return explore(start, expand, is_final, c, univ.labels, univ.alphabet,
+                   name="token game", config=config,
+                   saturated=True, transitively_reduced=True).trim()
+
+
+def token_game(net: PtNet, c: int, sem: str, config: RunConfig = DEFAULT_CONFIG) -> tuple:
+    """The token game of `net`, unbuilt: (start, step, is_final, universal).
+
+    `step(state, letter)` yields the states one letter leads to: each firing
+    of the letter's label, then each universal-automaton target. `is_final`
+    marks the accepting states, and `universal` is universal_automaton(c, T),
+    whose letters out of a state's first component are the only ones `step`
+    can follow. `net_automaton` explores this game in full; a synthesis probe
+    is walked only as far as an inclusion reads it.
+    """
     if sem not in ("ex", "cau"):
         raise InputError(f"semantics must be 'ex' or 'cau', not {sem!r}")
-    labels = tuple(net.transitions)
-    univ = universal_automaton(c, labels, config)
+    univ = universal_automaton(c, tuple(net.transitions), config)
     succ = univ.successors()
     causal = sem == "cau"
 
-    def expand(state):
+    def step(state, letter):
         q, tokens = state
-        for letter, targets in succ[q].items():
+        targets = succ[q].get(letter)
+        if targets:
             for new_tokens in _firings(net, tokens, letter, causal):
                 for q2 in targets:
-                    yield letter, (q2, new_tokens)
+                    yield q2, new_tokens
 
     init_tokens = tuple(sorted(
         ((i, True, frozenset(), frozenset()), p.tokens)
         for i, p in enumerate(net.places) if p.tokens > 0))
-    return explore((0, init_tokens), expand, lambda state: state[0] in univ.finals,
-                   c, labels, univ.alphabet, name="token game", config=config,
-                   saturated=True, transitively_reduced=True).trim()
+    return (0, init_tokens), step, lambda state: state[0] in univ.finals, univ
 
 
 def _firings(net: PtNet, tokens: tuple, letter: Slice, causal: bool):

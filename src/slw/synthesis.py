@@ -1,10 +1,14 @@
 """Region-based synthesis and the five top-level decision procedures.
 
 A candidate place is feasible for a specification automaton when the behavior
-of the single-place probe net includes the specified language; the synthesized
-net is the union of all feasible places (with full multiplicity under the
-causal semantics, where repetition can enlarge behavior). Minimality for the
-execution semantics follows from per-place conjunctivity of the token game:
+of the single-place probe net includes the specified language. The check is
+one walk of the specification automaton against the probe's token game: the
+probe is explored only as far as the walk reads it, never built as an
+automaton, and the walk stops at the first specified word the probe rejects.
+The synthesized net is the union of all feasible places (with full
+multiplicity under the causal semantics, where repetition can enlarge
+behavior). Minimality for the execution semantics follows from per-place
+conjunctivity of the token game:
 any competitor's places are individually feasible, so the all-feasible-places
 net is the most constrained net containing the specification.
 """
@@ -15,15 +19,16 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .automata import SliceAutomaton, difference, disjoint, includes, intersect, letter_base
+from .automata import (SliceAutomaton, _included, difference, disjoint, includes, intersect,
+                       letter_base)
 from .compiler import po_automaton
 from .config import DEFAULT_CONFIG, InputError, PreconditionError, RunConfig
 from .constructions import poset_complement
 from .dag import LabeledPoset
 from .mso import Formula, evaluate_po
-from .netaut import net_automaton
+from .netaut import net_automaton, token_game
 from .ptnet import PtNet, Place, causal_orders, executions
-from .slices import UnitDecomposition, compose
+from .slices import UnitDecomposition, compose, unit_alphabet
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,8 @@ class SynthesisSpec:
             raise InputError("sem must be 'ex' or 'cau'")
         if self.b < 1 or self.r < 1 or self.c < 1:
             raise InputError("bounds b, r, c must be >= 1")
-        if self.automaton.c != self.c or tuple(self.automaton.labels) != self.labels:
+        if self.automaton.c != self.c or tuple(self.automaton.labels) != self.labels \
+                or self.automaton.alphabet != unit_alphabet(self.c, self.labels):
             raise InputError("specification automaton must be over the declared (c, T)")
         if self.automaton.saturated is not True or self.automaton.transitively_reduced is not True:
             raise PreconditionError(
@@ -68,8 +74,8 @@ class VerificationReport:
 
 
 def _poset_text(po: LabeledPoset) -> str:
-    lines = [f"vertex {v} {po.labels[v]}" for v in po.vertices]
-    lines += [f"edge {u} {v}" for u, v in sorted(po.order, key=repr)]
+    lines = [f"vertex {v} {po.labels[v]}" for v in sorted(po.labels)]
+    lines += [f"edge {u} {v}" for u, v in sorted(po.order)]
     return "\n".join(lines)
 
 
@@ -105,9 +111,15 @@ def candidate_places(labels: Sequence, b: int):
 
 def feasible_place(place: Place, spec: SynthesisSpec,
                    config: RunConfig = DEFAULT_CONFIG) -> bool:
-    """True iff the single-place probe net admits every specified behavior."""
+    """True iff the single-place probe net admits every specified behavior.
+
+    The specification automaton is walked against the probe's token game,
+    which is played only on the states the walk reads and never built as an
+    automaton; the walk stops at the first specified word the probe rejects.
+    """
     probe = PtNet(spec.labels, [place], bound=spec.b, name="probe", check_transitions=False)
-    return includes(spec.automaton, net_automaton(probe, spec.c, spec.sem, config), config)
+    start, step, is_final, _ = token_game(probe, spec.c, spec.sem, config)
+    return _included(spec.automaton, start, step, is_final, config, name="probe inclusion")
 
 
 # -- net synthesis (minimal containment) ------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from slw.automata import (SliceAutomaton, difference, equivalent, from_decompositions,
                           includes, intersect, union, valid_sequences)
-from slw.config import InputError, RunConfig
+from slw.config import InputError, ResourceError, RunConfig
 from slw.constructions import universal_automaton
 from slw.dag import LabeledDag
 from slw.slices import UnitDecomposition, unit_alphabet, unit_decompositions, unit_slice
@@ -139,6 +139,23 @@ class TestDecisions:
         capped = RunConfig(max_states=100)
         assert includes(cached_net_automaton("N1", 3, "ex"),
                         cached_net_automaton("N2", 3, "ex"), capped)
+
+    def test_inclusion_walk_honours_the_state_cap(self):
+        # the walk of N1 against N2's subsets reads 37 pairs before it answers
+        with pytest.raises(ResourceError, match="state cap exceeded in inclusion"):
+            includes(cached_net_automaton("N1", 3, "ex"),
+                     cached_net_automaton("N2", 3, "ex"), RunConfig(max_states=20))
+
+    def test_inclusion_stops_at_the_first_counterexample(self):
+        # N2 runs a and b concurrently, N1 alternates them: the walk meets a
+        # counterexample after 14 pairs, while the trimmed difference keeps 392
+        n1 = cached_net_automaton("N1", 3, "ex")
+        n2 = cached_net_automaton("N2", 3, "ex")
+        capped = RunConfig(max_states=20)
+        assert not includes(n2, n1, capped)
+        assert len(difference(n2, n1).states) == 392
+        with pytest.raises(ResourceError, match="difference"):
+            difference(n2, n1, capped)
 
     def test_po_members_of_universal_one(self):
         mem = universal_automaton(1, T).po_members_up_to(3)

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import slw
+from slw.automata import from_decompositions
 from slw.cli import main
+from slw.slices import unit_slice
 
 from conftest import make_fixture_nets
 from slw import corpus
@@ -81,6 +83,18 @@ def test_net_automaton_then_aut_ops(files, capsys):
     assert main(["aut", "complement", aut_path, "-o", comp_path]) == 0
     assert main(["aut", "intersect", aut_path, comp_path, "-o", str(tmp / "i.aut")]) == 0
     assert main(["aut", "empty", str(tmp / "i.aut")]) == 0
+
+
+def test_members_list_vertices_in_numeric_order(files, capsys):
+    write, _ = files
+    chain = [unit_slice("ab"[i % 2], 0 if i == 0 else 1, 0 if i == 10 else 1)
+             for i in range(11)]
+    aut = write("chain.aut", from_decompositions(1, ("a", "b"), [chain]).to_text())
+    assert main(["--max-enum", "11", "aut", "members", aut, "--n", "11"]) == 0
+    out = capsys.readouterr().out
+    order = ";".join(f"{u}<{v}" for u in range(11) for v in range(u + 1, 11))
+    assert out == f"poset vertices=11 labels={','.join('ab'[i % 2] for i in range(11))} " \
+                  f"order={order}\n"
 
 
 def test_compile_graph_formula(files, capsys):

@@ -2,16 +2,16 @@
 
 import pytest
 
-from slw import synthesis
-from slw.automata import intersect
-from slw.config import PreconditionError
+from slw import netaut, synthesis
+from slw.automata import SliceAutomaton, difference, intersect
+from slw.config import InputError, PreconditionError
 from slw.dag import LabeledPoset
 from slw.mso import Truth, parse
 from slw.netaut import net_automaton
 from slw.ptnet import Place, PtNet, causal_orders, executions
-from slw.synthesis import (ProofLog, SynthesisSpec, candidate_places, feasible_place,
-                           repair, safest_subsystem, separate, synth_from_contract,
-                           synth_from_mso, synthesize, verify)
+from slw.synthesis import (ProofLog, SynthesisSpec, VerificationReport, candidate_places,
+                           feasible_place, repair, safest_subsystem, separate,
+                           synth_from_contract, synth_from_mso, synthesize, verify)
 
 from conftest import cached_net_automaton, cached_po_automaton, poset_keys
 from slw import corpus
@@ -40,6 +40,69 @@ class TestFeasiblePlaces:
         assert len(list(candidate_places(TAB, 1))) == 2 ** 5
 
 
+def built_probe_feasible(place, spec):
+    """The reference probe check: build the probe's behavior automaton and
+    test that the difference of the specification and it is empty."""
+    probe = PtNet(spec.labels, [place], bound=spec.b, name="probe", check_transitions=False)
+    return difference(spec.automaton, net_automaton(probe, spec.c, spec.sem)).is_empty()
+
+
+def safest_target_spec(nets):
+    """The target of `safest` on N0 and total-order at b=1, c=2, ex."""
+    labels = tuple(nets["N0"].transitions)
+    target = intersect(cached_po_automaton(corpus.TOTAL_ORDER, 2, labels),
+                       cached_net_automaton("N0", 2, "ex"))
+    return SynthesisSpec(target, 2, 1, 1, "ex", labels)
+
+
+class TestProbeWalk:
+    @pytest.mark.parametrize("make_spec", [
+        lambda nets: chains_spec(),
+        lambda nets: SynthesisSpec(cached_po_automaton(corpus.TOTAL_ORDER, 2, TAB),
+                                   2, 2, 1, "cau", TAB),
+        lambda nets: SynthesisSpec(cached_po_automaton(corpus.ALTERNATING_AB, 1, TAB),
+                                   1, 2, 1, "ex", TAB),
+        safest_target_spec,
+    ], ids=["chains", "total-order-b2-c2-cau", "alternating-ab-b2-c1-ex", "safest-N0"])
+    def test_walk_agrees_with_built_probe(self, nets, make_spec):
+        spec = make_spec(nets)
+        places = list(candidate_places(spec.labels, spec.b))
+        walked = [feasible_place(p, spec) for p in places]
+        assert walked == [built_probe_feasible(p, spec) for p in places]
+        assert any(walked) and not all(walked)
+
+    def test_synthesis_builds_no_probe_automaton(self, monkeypatch):
+        built = []
+
+        def spy(net, *args):
+            built.append(net.name)
+            return net_automaton(net, *args)
+
+        monkeypatch.setattr(netaut, "net_automaton", spy)
+        monkeypatch.setattr(synthesis, "net_automaton", spy)
+        spec = SynthesisSpec(cached_po_automaton(corpus.ALTERNATING_AB, 1, TAB),
+                             1, 1, 1, "ex", TAB)
+        assert synthesize(spec) is not None
+        assert built == ["synthesized"]
+
+    def test_feasible_place_builds_no_automaton(self, monkeypatch):
+        spec = SynthesisSpec(cached_po_automaton(corpus.TOTAL_ORDER, 2, TAB),
+                             2, 1, 1, "cau", TAB)
+        places = list(candidate_places(spec.labels, spec.b))
+        feasible_place(places[0], spec)   # the universal automaton is cached
+        built = []
+        original = SliceAutomaton._set
+
+        def spy(self, *args):
+            built.append(self)
+            original(self, *args)
+
+        monkeypatch.setattr(SliceAutomaton, "_set", spy)
+        for p in places:
+            feasible_place(p, spec)
+        assert built == []
+
+
 class TestSynthesize:
     def test_all_chains(self):
         net = synthesize(chains_spec())
@@ -61,12 +124,18 @@ class TestSynthesize:
         assert len(net.places) == len(list(candidate_places(TA, 1)))
 
     def test_unflagged_spec_rejected(self, nets):
-        from slw.automata import SliceAutomaton
         a = cached_po_automaton("true", 1, TA)
         plain = SliceAutomaton(a.c, a.labels, a.alphabet, a.initial, a.finals,
                                a.transitions, states=a.states)
         with pytest.raises(PreconditionError):
             SynthesisSpec(plain, 1, 1, 1, "ex", TA)
+
+    def test_spec_over_another_alphabet_rejected(self):
+        a = cached_po_automaton("true", 1, TA)
+        narrow = SliceAutomaton(a.c, a.labels, a.alphabet[:-1], 0, [], [],
+                                saturated=True, transitively_reduced=True)
+        with pytest.raises(InputError, match="declared"):
+            SynthesisSpec(narrow, 1, 1, 1, "ex", TA)
 
 
 class TestCausalSynthesis:
@@ -170,6 +239,16 @@ class TestVerify:
             assert all(evaluate_po(m, phi) for m in members)
         if report.spec_subset_of_net:
             assert spec_members <= poset_keys(members)
+
+    def test_report_lists_edges_in_numeric_order(self):
+        chain = LabeledPoset({v: "a" for v in range(11)},
+                             [(u, v) for u in range(11) for v in range(u + 1, 11)])
+        text = VerificationReport(False, True, True, {"common": chain}).to_text()
+        lines = text.splitlines()
+        assert [ln.split()[1] for ln in lines if ln.startswith("  vertex")] \
+            == [str(v) for v in range(11)]
+        edges = [tuple(map(int, ln.split()[1:])) for ln in lines if ln.startswith("  edge")]
+        assert edges == sorted(chain.order) and edges[9:11] == [(0, 10), (1, 2)]
 
     def test_structured_report_schema(self, nets):
         report = verify(nets["N0"], parse(corpus.TOTAL_ORDER), 2, "ex")
