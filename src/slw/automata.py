@@ -16,10 +16,10 @@ ordered by hash or by `repr`. Every exploration is capped by
 Automata are immutable and Boolean operations return fresh automata. Nothing
 is memoized on an automaton but its per-state successor index. A difference
 walks the subsets of its right operand on the fly, building only those its
-left operand's words reach. An inclusion builds no automaton at all: it walks
-the left operand against subsets of the right one and stops at the first
-counterexample, and its right operand may be a successor function, such as a
-token game that is played only as far as the walk reads it.
+left operand's words reach. Inclusion, emptiness and shortest words build no
+automaton: one walk reads the left operand against subsets of the right one,
+which may be a successor function such as a token game played only as far as
+the walk reads it, and returns the first counterexample's shortest word.
 """
 
 from __future__ import annotations
@@ -163,7 +163,7 @@ class SliceAutomaton:
             return False
         cur = frozenset([0])
         for s in letters:
-            cur = frozenset(q2 for q in cur for s2, q2 in self.adj[q] if s2 == s)
+            cur = _subset_step(self.successors(), cur, s)
             if not cur:
                 return False
         return bool(cur & self.finals)
@@ -208,8 +208,7 @@ class SliceAutomaton:
 
     def is_empty(self) -> bool:
         """True iff no nonempty decomposition is accepted."""
-        # every edge left by trim lies on an accepting path
-        return not any(self.trim().adj)
+        return self.shortest_accepted() is None
 
     # -- word enumeration ------------------------------------------------------------
 
@@ -235,20 +234,12 @@ class SliceAutomaton:
 
         yield from rec(0, [])
 
-    def shortest_accepted(self) -> Optional[tuple]:
-        """A length-minimal accepted word, or None (BFS, deterministic)."""
-        seen = {0}
-        queue = deque([(0, ())])
-        while queue:
-            q, word = queue.popleft()
-            for s, q2 in self.adj[q]:
-                w2 = word + (s,)
-                if q2 in self.finals:
-                    return w2
-                if q2 not in seen:
-                    seen.add(q2)
-                    queue.append((q2, w2))
-        return None
+    def shortest_accepted(self, config: RunConfig = DEFAULT_CONFIG) -> Optional[tuple]:
+        """A length-minimal accepted word, or None: the inclusion walk against
+        a right operand whose one key never accepts, so its pairs are exactly
+        the reachable states."""
+        return _included(self, None, lambda k, s: (k,), lambda k: False, config,
+                         name="shortest word")
 
     def po_members_up_to(self, n: int,
                          config: RunConfig = DEFAULT_CONFIG) -> list[LabeledPoset]:
@@ -476,16 +467,16 @@ def difference(a: SliceAutomaton, b: SliceAutomaton,
 
 
 def _included(a: SliceAutomaton, start, step, accepting, config: RunConfig, *,
-              name: str) -> bool:
-    """True iff every word of `a` leads the right operand from `start` to an
-    accepting key: `step(key, letter)` gives the keys one letter leads to.
+              name: str) -> Optional[tuple]:
+    """A shortest word of `a` that leads the right operand from `start` to no
+    accepting key, or None: `step(key, letter)` gives the keys one letter
+    leads to.
 
-    A breadth-first walk over pairs (state of a, set of right-operand keys);
-    it returns False at the first edge into a final state of a whose set holds
-    no accepting key, so only the pairs before the first counterexample are
-    read, and `step` only on the keys they hold. `step` is memoized for the one
-    walk. Reading more than `config.max_states` pairs raises a ResourceError
-    naming `name`.
+    A breadth-first walk over pairs (state of a, set of right-operand keys)
+    in `explore`'s order; it stops at the first edge into a final state of a
+    whose set holds no accepting key, so only the pairs before it are read,
+    and `step`, memoized for the one walk, only on the keys they hold. Reading
+    more than `config.max_states` pairs raises a ResourceError naming `name`.
     """
     a_adj, a_finals = a.adj, a.finals
     memo = {}
@@ -500,34 +491,44 @@ def _included(a: SliceAutomaton, start, step, accepting, config: RunConfig, *,
         return frozenset(out)
 
     first = (0, frozenset([start]))
-    seen = {first}
+    parent = {first: None}   # pair -> (the pair it was reached from, letter)
     queue = deque([first])
     while queue:
-        qa, keys = queue.popleft()
+        pair = queue.popleft()
+        qa, keys = pair
         for letter, qa2 in a_adj[qa]:
             keys2 = image(keys, letter)
             if qa2 in a_finals and not any(accepting(k) for k in keys2):
-                return False
-            pair = (qa2, keys2)
-            if pair not in seen:
-                if len(seen) >= config.max_states:
+                word = (letter,)
+                while parent[pair] is not None:
+                    pair, s = parent[pair]
+                    word = (s,) + word
+                return word
+            nxt = (qa2, keys2)
+            if nxt not in parent:
+                if len(parent) >= config.max_states:
                     raise ResourceError(f"state cap exceeded in {name}",
                                         context=f"max_states={config.max_states}")
-                seen.add(pair)
-                queue.append(pair)
-    return True
+                parent[nxt] = (pair, letter)
+                queue.append(nxt)
+    return None
 
 
-def includes(a: SliceAutomaton, b: SliceAutomaton,
-             config: RunConfig = DEFAULT_CONFIG) -> bool:
-    """True iff L(a) ⊆ L(b), by one walk of a against the subsets of b's
-    states that stops at the first counterexample; b is never determinized or
-    complemented as a whole. With b saturated and both transitively reduced,
-    this decides poset-language inclusion as well."""
+def counterexample(a: SliceAutomaton, b: SliceAutomaton,
+                   config: RunConfig = DEFAULT_CONFIG) -> Optional[tuple]:
+    """A shortest word of L(a) \\ L(b), or None, by one walk of a against the
+    subsets of b's states; b is never determinized or complemented."""
     _require_same_alphabet(a, b)
     succ, finals = b.successors(), b.finals
     return _included(a, 0, lambda q, s: succ[q].get(s, ()), finals.__contains__, config,
                      name="inclusion")
+
+
+def includes(a: SliceAutomaton, b: SliceAutomaton,
+             config: RunConfig = DEFAULT_CONFIG) -> bool:
+    """True iff L(a) ⊆ L(b); with b saturated and both transitively reduced,
+    also for the poset languages."""
+    return counterexample(a, b, config) is None
 
 
 def disjoint(a: SliceAutomaton, b: SliceAutomaton,

@@ -190,7 +190,7 @@ def _cmd_verify(args, config, log) -> int:
         print(f"specification within behavior:      {report.spec_subset_of_net}")
         for which, po in sorted(report.counterexamples.items()):
             print(f"counterexample ({which}): labels "
-                  f"{[po.labels[v] for v in po.vertices]}, order {sorted(po.order)}")
+                  f"{[po.labels[v] for v in sorted(po.labels)]}, order {sorted(po.order)}")
     return 0 if report.net_subset_of_spec else 1
 
 

@@ -39,7 +39,7 @@ class RunConfig:
     max_words: int = 500_000         # language-enumeration cap (words visited)
 
     def __post_init__(self):
-        if self.max_states <= 0 or self.max_enum_vertices <= 0 or self.max_words <= 0:
+        if min(self.max_states, self.max_enum_vertices, self.max_enum_edges, self.max_words) <= 0:
             raise InputError("all caps must be positive")
 
 

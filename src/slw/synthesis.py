@@ -19,8 +19,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .automata import (SliceAutomaton, _included, difference, disjoint, includes, intersect,
-                       letter_base)
+from .automata import (SliceAutomaton, _included, counterexample, disjoint, includes,
+                       intersect, letter_base)
 from .compiler import po_automaton
 from .config import DEFAULT_CONFIG, InputError, PreconditionError, RunConfig
 from .constructions import poset_complement
@@ -119,7 +119,8 @@ def feasible_place(place: Place, spec: SynthesisSpec,
     """
     probe = PtNet(spec.labels, [place], bound=spec.b, name="probe", check_transitions=False)
     start, step, is_final, _ = token_game(probe, spec.c, spec.sem, config)
-    return _included(spec.automaton, start, step, is_final, config, name="probe inclusion")
+    return _included(spec.automaton, start, step, is_final, config,
+                     name="probe inclusion") is None
 
 
 # -- net synthesis (minimal containment) ------------------------------------------------
@@ -193,16 +194,17 @@ def verify(net: PtNet, phi: Formula, c: int, sem: str,
            log: Optional[ProofLog] = None) -> VerificationReport:
     """Compare a net's c-bounded behavior against an order formula:
     emptiness of intersection and inclusion in both directions, each with a
-    minimal oracle-checked counterexample when it fails."""
+    minimal oracle-checked counterexample when it fails. Every witness is a
+    shortest word of the one inclusion walk; no difference automaton is built."""
     labels = tuple(net.transitions)
     spec_aut = po_automaton(phi, c, labels, config)
     net_aut = net_automaton(net, c, sem, config)
-    both = intersect(net_aut, spec_aut, config)
-    is_disjoint = both.is_empty()
-    net_minus_spec = difference(net_aut, spec_aut, config)
-    net_in_spec = net_minus_spec.is_empty()
-    spec_minus_net = difference(spec_aut, net_aut, config)
-    spec_in_net = spec_minus_net.is_empty()
+    common = intersect(net_aut, spec_aut, config).shortest_accepted(config)
+    net_minus_spec = counterexample(net_aut, spec_aut, config)
+    spec_minus_net = counterexample(spec_aut, net_aut, config)
+    is_disjoint = common is None
+    net_in_spec = net_minus_spec is None
+    spec_in_net = spec_minus_net is None
     if log:
         log.step("behavior and specification disjoint",
                  "syntactic emptiness of product", is_disjoint)
@@ -211,12 +213,10 @@ def verify(net: PtNet, phi: Formula, c: int, sem: str,
         log.step("specification within behavior",
                  "syntactic inclusion (behavior side saturated)", spec_in_net)
     report = VerificationReport(is_disjoint, net_in_spec, spec_in_net)
-    if not is_disjoint:
-        report.counterexamples["common"] = _witness_poset(both)
-    if not net_in_spec:
-        report.counterexamples["net-minus-spec"] = _witness_poset(net_minus_spec)
-    if not spec_in_net:
-        report.counterexamples["spec-minus-net"] = _witness_poset(spec_minus_net)
+    for which, word in (("common", common), ("net-minus-spec", net_minus_spec),
+                        ("spec-minus-net", spec_minus_net)):
+        if word is not None:
+            report.counterexamples[which] = _witness_poset(word)
     _oracle_check_report(net, phi, c, sem, report, config)
     return report
 
@@ -277,12 +277,11 @@ def synth_from_contract(phi_yes: Formula, phi_no: Formula, labels: Sequence,
     labels = tuple(sorted(labels))  # the order of PtNet.transitions
     yes_aut = po_automaton(phi_yes, c, labels, config)
     no_aut = po_automaton(phi_no, c, labels, config)
-    overlap = intersect(yes_aut, no_aut, config)
-    if not overlap.is_empty():
-        witness = _witness_poset(overlap)
+    overlap = intersect(yes_aut, no_aut, config).shortest_accepted(config)
+    if overlap is not None:
         raise PreconditionError(
             "contract overlap: the good and bad languages share a poset:\n"
-            + _poset_text(witness))
+            + _poset_text(_witness_poset(overlap)))
     if log:
         log.step("contract languages disjoint",
                  "syntactic disjointness of saturated reduced automata", True)
@@ -293,9 +292,7 @@ def synth_from_contract(phi_yes: Formula, phi_no: Formula, labels: Sequence,
 # -- counterexample handling -------------------------------------------------------------
 
 
-def _witness_poset(aut: SliceAutomaton) -> LabeledPoset:
-    word = aut.shortest_accepted()
-    assert word is not None
+def _witness_poset(word: tuple) -> LabeledPoset:
     u = UnitDecomposition(tuple(letter_base(s) for s in word))
     return compose(u).transitive_closure()
 

@@ -1,15 +1,19 @@
 """Slice automata: validation, membership, Boolean operations, file format."""
 
+from collections import deque
+
 import pytest
 
-from slw.automata import (SliceAutomaton, difference, equivalent, from_decompositions,
-                          includes, intersect, union, valid_sequences)
+from slw import automata, corpus, synthesis
+from slw.automata import (SliceAutomaton, counterexample, difference, equivalent,
+                          from_decompositions, includes, intersect, union, valid_sequences)
 from slw.config import InputError, ResourceError, RunConfig
 from slw.constructions import universal_automaton
 from slw.dag import LabeledDag
+from slw.mso import parse
 from slw.slices import UnitDecomposition, unit_alphabet, unit_decompositions, unit_slice
 
-from conftest import cached_net_automaton, poset_keys
+from conftest import cached_net_automaton, cached_po_automaton, make_fixture_nets, poset_keys
 
 T = ("t",)
 ALPH = unit_alphabet(1, T)
@@ -23,6 +27,23 @@ def chain_automaton():
     """All chains over {t}: q0 -INIT-> q1 -MID-> q1 -FINAL-> q2, plus one-vertex."""
     return SliceAutomaton(1, T, ALPH, 0, {2},
                           [(0, INIT, 1), (1, MID, 1), (1, FINAL, 2), (0, INIT_FINAL, 2)])
+
+
+def _bfs_shortest(aut):
+    """The breadth-first search `shortest_accepted` ran on its own, before it
+    became the inclusion walk: kept as the reference for the walk's words."""
+    seen = {0}
+    queue = deque([(0, ())])
+    while queue:
+        q, word = queue.popleft()
+        for s, q2 in aut.adj[q]:
+            w2 = word + (s,)
+            if q2 in aut.finals:
+                return w2
+            if q2 not in seen:
+                seen.add(q2)
+                queue.append((q2, w2))
+    return None
 
 
 class TestValidation:
@@ -156,6 +177,43 @@ class TestDecisions:
         assert len(difference(n2, n1).states) == 392
         with pytest.raises(ResourceError, match="difference"):
             difference(n2, n1, capped)
+
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("sem", ["ex", "cau"])
+    def test_walk_words_match_the_difference_automaton(self, c, sem):
+        # the walk's witness is the word the old path read off the built,
+        # trimmed difference, in both directions of every net x formula pair
+        witnesses = 0
+        for name, net in make_fixture_nets().items():
+            behavior = cached_net_automaton(name, c, sem)
+            for text in corpus.ORDER_CORPUS.values():
+                spec = cached_po_automaton(text, c, tuple(net.transitions))
+                for a, b in ((behavior, spec), (spec, behavior)):
+                    word = counterexample(a, b)
+                    assert word == _bfs_shortest(difference(a, b))
+                    assert includes(a, b) == (word is None)
+                    witnesses += word is not None
+                both = intersect(behavior, spec)
+                assert both.shortest_accepted() == _bfs_shortest(both)
+                assert both.is_empty() == (_bfs_shortest(both) is None)
+        assert 0 < witnesses < 2 * 6 * len(corpus.ORDER_CORPUS)
+
+    def test_verify_builds_no_difference_automaton(self, monkeypatch):
+        spec = cached_po_automaton(corpus.TOTAL_ORDER, 2, ("a", "b"))
+        behavior = cached_net_automaton("N2", 2, "ex")
+        monkeypatch.setattr(synthesis, "po_automaton", lambda *args: spec)
+        monkeypatch.setattr(synthesis, "net_automaton", lambda *args: behavior)
+        names = []
+        explore = automata.explore
+
+        def spy(*args, name, **kwargs):
+            names.append(name)
+            return explore(*args, name=name, **kwargs)
+
+        monkeypatch.setattr(automata, "explore", spy)
+        report = synthesis.verify(make_fixture_nets()["N2"], parse(corpus.TOTAL_ORDER), 2, "ex")
+        assert sorted(report.counterexamples) == ["common", "net-minus-spec", "spec-minus-net"]
+        assert names == ["intersection"]
 
     def test_po_members_of_universal_one(self):
         mem = universal_automaton(1, T).po_members_up_to(3)

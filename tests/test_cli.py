@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import slw
+from slw import cli
 from slw.automata import from_decompositions
 from slw.cli import main
+from slw.dag import LabeledPoset
+from slw.synthesis import VerificationReport
 from slw.slices import unit_slice
 
 from conftest import make_fixture_nets
@@ -43,6 +46,21 @@ def test_verify_exit_codes(files, capsys):
     assert "behavior within specification:      True" in out
     bad = write("anti.mso", corpus.SOME_INCOMPARABLE)
     assert main(["verify", "--net", net, "--mso", bad, "--c", "1", "--sem", "ex"]) == 1
+
+
+def test_verify_text_lists_labels_in_vertex_order(files, capsys, monkeypatch):
+    # from 11 vertices on, repr order puts vertex 10 before vertex 2
+    write, _ = files
+    chain = LabeledPoset({v: "a" if v < 10 else "b" for v in range(11)},
+                         [(u, v) for u in range(11) for v in range(u + 1, 11)])
+    monkeypatch.setattr(cli, "verify",
+                        lambda *args: VerificationReport(False, True, True, {"common": chain}))
+    net = write("n1.net", N1_TEXT)
+    phi = write("total.mso", corpus.TOTAL_ORDER)
+    assert main(["verify", "--net", net, "--mso", phi, "--c", "1", "--sem", "ex"]) == 0
+    out = capsys.readouterr().out
+    assert f"counterexample (common): labels {['a'] * 10 + ['b']}, " \
+           f"order {sorted(chain.order)}\n" in out
 
 
 def test_verify_structured_output(files, capsys):

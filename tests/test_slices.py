@@ -128,6 +128,11 @@ class TestDecompositions:
         with pytest.raises(ResourceError):
             unit_decompositions(h, 2, config=RunConfig(max_enum_vertices=3))
 
+    def test_negative_edge_cap_rejected(self):
+        # accepted before, it made every DAG "too large", even one vertex
+        with pytest.raises(InputError, match="positive"):
+            RunConfig(max_enum_edges=-1)
+
     def test_recomposition_is_identity_up_to_positions(self):
         for n in range(1, 5):
             for h in all_dags(n, ["a", "b"]):
