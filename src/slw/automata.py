@@ -29,7 +29,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
 from .dag import LabeledDag, LabeledPoset, dedup_posets
-from .slices import Slice, UnitDecomposition, can_glue, compose, from_literal, to_literal, unit_alphabet
+from .slices import (Slice, UnitDecomposition, can_glue, compose, from_literal, literal_table,
+                     to_literal, unit_alphabet)
 
 
 def letter_base(letter) -> Slice:
@@ -145,7 +146,12 @@ class SliceAutomaton:
                 report.append(
                     f"condition 2: transition into a final state carries a "
                     f"non-final slice: {q!r} --{to_literal(base)}--> {q2!r}")
+        # the in-port counts of each state's out-letters: an edge into q2 glues
+        # to all of them unless they differ from its out-port count
+        n_ins = [{letter_base(s).n_in for s, _ in edges} for edges in self.adj]
         for q, s, q2 in transitions:
+            if n_ins[q2] <= {letter_base(s).n_out}:
+                continue
             for s2, q3 in self.adj[q2]:
                 if not can_glue(letter_base(s), letter_base(s2)):
                     report.append(
@@ -206,9 +212,9 @@ class SliceAutomaton:
                                   frozenset(ids[q] for q in self.finals if live[q]),
                                   self.saturated, self.transitively_reduced)
 
-    def is_empty(self) -> bool:
+    def is_empty(self, config: RunConfig = DEFAULT_CONFIG) -> bool:
         """True iff no nonempty decomposition is accepted."""
-        return self.shortest_accepted() is None
+        return self.shortest_accepted(config) is None
 
     # -- word enumeration ------------------------------------------------------------
 
@@ -292,9 +298,13 @@ class SliceAutomaton:
                 flags.append("final")
             lines.append(" ".join(["state", str(q)] + flags))
         pos = {s: i for i, s in enumerate(self.alphabet)}
+        literals = {}
         for q, edges in enumerate(self.adj):
             for s, q2 in sorted(edges, key=lambda e: (pos[e[0]], e[1])):
-                lines.append(f"trans {q} {to_literal(letter_base(s))} {q2}")
+                lit = literals.get(s)
+                if lit is None:
+                    lit = literals[s] = to_literal(letter_base(s))
+                lines.append(f"trans {q} {lit} {q2}")
         return "\n".join(lines) + "\n"
 
     @staticmethod
@@ -325,6 +335,8 @@ class SliceAutomaton:
                 raise InputError(f"unknown header token {tok!r}")
         if c is None or not labels:
             raise InputError("header must declare c= and alphabet=")
+        # c < 1 is rejected by unit_alphabet below, after the body's own errors
+        table = literal_table(c, labels) if c >= 1 else {}
         states, initial, finals, trans = {}, None, set(), []
         for n, ln in rows:
             parts = ln.split(None, 2)
@@ -333,13 +345,16 @@ class SliceAutomaton:
                 if not rest:
                     raise InputError(f"malformed state line: {ln!r}")
                 name = rest[0]
-                flagtext = rest[1] if len(rest) > 1 else ""
+                flags = rest[1].split() if len(rest) > 1 else []
+                for flag in flags:
+                    if flag not in ("initial", "final"):
+                        raise InputError(f"line {n}: unknown state flag {flag!r}")
                 states[name] = None
-                if "initial" in flagtext.split():
+                if "initial" in flags:
                     if initial is not None:
                         raise InputError("multiple initial states declared")
                     initial = name
-                if "final" in flagtext.split():
+                if "final" in flags:
                     finals.add(name)
             elif parts[0] == "trans":
                 body = parts[2] if len(parts) == 3 else ""
@@ -350,7 +365,8 @@ class SliceAutomaton:
                 for q in (parts[1], dst):
                     if q not in states:
                         raise InputError(f"line {n}: transition names undeclared state {q!r}")
-                trans.append((parts[1], from_literal(body[: lit_end + 1]), dst))
+                literal = body[: lit_end + 1]
+                trans.append((parts[1], table.get(literal) or from_literal(literal), dst))
             else:
                 raise InputError(f"unexpected line in automaton file: {ln!r}")
         if initial is None:
@@ -535,7 +551,7 @@ def disjoint(a: SliceAutomaton, b: SliceAutomaton,
              config: RunConfig = DEFAULT_CONFIG) -> bool:
     """True iff L(a) ∩ L(b) = ∅. With both transitively reduced and one
     saturated, this decides poset-language disjointness as well."""
-    return intersect(a, b, config).is_empty()
+    return intersect(a, b, config).is_empty(config)
 
 
 def equivalent(a: SliceAutomaton, b: SliceAutomaton,

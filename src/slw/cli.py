@@ -278,7 +278,7 @@ def _cmd_aut(args, config, log) -> int:
         print(str(ok).lower())
         return 0 if ok else 1
     if op == "empty":
-        ok = auts[0].is_empty()
+        ok = auts[0].is_empty(config)
         print(str(ok).lower())
         return 0 if ok else 1
     members = auts[0].po_members_up_to(args.n, config)

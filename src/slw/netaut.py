@@ -29,7 +29,6 @@ from .automata import SliceAutomaton, explore
 from .config import DEFAULT_CONFIG, InputError, RunConfig
 from .constructions import universal_automaton
 from .ptnet import PtNet
-from .slices import Slice
 
 
 def net_automaton(net: PtNet, c: int, sem: str,
@@ -68,12 +67,21 @@ def token_game(net: PtNet, c: int, sem: str, config: RunConfig = DEFAULT_CONFIG)
     univ = universal_automaton(c, tuple(net.transitions), config)
     succ = univ.successors()
     causal = sem == "cau"
+    # per label, the tokens it takes from and puts on each place
+    moves = {t: (tuple(p.take(t) for p in net.places), tuple(p.put(t) for p in net.places))
+             for t in net.transitions}
+    facts = {}   # letter -> its firing facts (see _firings), filled on first use
 
     def step(state, letter):
         q, tokens = state
         targets = succ[q].get(letter)
         if targets:
-            for new_tokens in _firings(net, tokens, letter, causal):
+            fact = facts.get(letter)
+            if fact is None:
+                fact = facts[letter] = moves[letter.label] + (
+                    frozenset(letter.closing_ports()), letter.bypass_map(),
+                    frozenset(letter.born_ports()))
+            for new_tokens in _firings(tokens, fact, net.bound, causal):
                 for q2 in targets:
                     yield q2, new_tokens
 
@@ -83,32 +91,33 @@ def token_game(net: PtNet, c: int, sem: str, config: RunConfig = DEFAULT_CONFIG)
     return (0, init_tokens), step, lambda state: state[0] in univ.finals, univ
 
 
-def _firings(net: PtNet, tokens: tuple, letter: Slice, causal: bool):
-    """All legal token consumptions/productions for firing the letter's label."""
-    t = letter.label
-    by_place: list[list] = [[] for _ in net.places]
-    counts = [0] * len(net.places)
+def _firings(tokens: tuple, fact: tuple, bound: int, causal: bool):
+    """All legal token consumptions/productions for firing a letter, given its
+    firing facts (take, put, closing, port_map, born): its label takes take[i]
+    and puts put[i] tokens on place i, and its in-ports hit the center
+    (closing), bypass it (port_map: in-port -> out-port) or its out-ports are
+    fed by it (born)."""
+    take, put, closing, port_map, born = fact
+    n = len(take)
+    by_place: list[list] = [[] for _ in range(n)]
+    counts = [0] * n
     for cls, cnt in tokens:
         by_place[cls[0]].append((cls, cnt))
         counts[cls[0]] += cnt
-    if any(counts[i] < p.take(t) for i, p in enumerate(net.places)):
+    if any(counts[i] < take[i] for i in range(n)):
         return
-    if any(counts[i] - p.take(t) + p.put(t) > net.bound
-           for i, p in enumerate(net.places)):
+    if any(counts[i] - take[i] + put[i] > bound for i in range(n)):
         return
 
-    closing = frozenset(letter.closing_ports())
     per_place = []
-    for i, p in enumerate(net.places):
+    for i in range(n):
         # a produced token is consumable only where its producer precedes the center
-        choices = [combo for combo in _multiset_choices(by_place[i], p.take(t))
+        choices = [combo for combo in _multiset_choices(by_place[i], take[i])
                    if all(initial or succ & closing for (_, initial, succ, _), _ in combo)]
         if not choices:
             return
         per_place.append(choices)
 
-    port_map = letter.bypass_map()
-    born = frozenset(letter.born_ports())
     for assignment in itertools.product(*per_place):
         consumed: dict = {}
         for combo in assignment:
@@ -126,10 +135,10 @@ def _firings(net: PtNet, tokens: tuple, letter: Slice, causal: bool):
             if left > 0:
                 adv = _advance(cls, port_map, closing, born)
                 counter[adv] = counter.get(adv, 0) + left
-        for i, p in enumerate(net.places):
-            if p.put(t) > 0:
+        for i in range(n):
+            if put[i] > 0:
                 cls = (i, False, born, born | new_flow_from_consumed)
-                counter[cls] = counter.get(cls, 0) + p.put(t)
+                counter[cls] = counter.get(cls, 0) + put[i]
         yield tuple(sorted(counter.items()))
 
 

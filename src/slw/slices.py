@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import re
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
@@ -269,6 +270,16 @@ def unit_alphabet(c: int, labels: tuple) -> tuple:
                 for lab in labels:
                     letters.append(unit_slice(lab, n_in, n_out, bypass))
     return tuple(sorted(letters))
+
+
+@lru_cache(maxsize=None)
+def literal_table(c: int, labels: tuple) -> MappingProxyType:
+    """The letters of unit_alphabet(c, labels), keyed by their canonical literal.
+
+    A reader looks each literal up here and parses only the ones that miss
+    (non-canonical spellings and letters outside the alphabet).
+    """
+    return MappingProxyType({to_literal(s): s for s in unit_alphabet(c, labels)})
 
 
 def _partial_injections(m: int, n: int) -> Iterator[dict]:

@@ -11,7 +11,8 @@ from slw.config import InputError, ResourceError, RunConfig
 from slw.constructions import universal_automaton
 from slw.dag import LabeledDag
 from slw.mso import parse
-from slw.slices import UnitDecomposition, unit_alphabet, unit_decompositions, unit_slice
+from slw.slices import (UnitDecomposition, can_glue, from_literal, to_literal, unit_alphabet,
+                        unit_decompositions, unit_slice)
 
 from conftest import cached_net_automaton, cached_po_automaton, make_fixture_nets, poset_keys
 
@@ -46,6 +47,49 @@ def _bfs_shortest(aut):
     return None
 
 
+def _validate_reference(aut):
+    """`validate` as it was before condition 3 skipped the edges whose target's
+    out-letters all glue: every pair of consecutive edges is compared. Kept as
+    the reference for the report, messages and order included."""
+    base = automata.letter_base
+    report = []
+    for q, s, q2 in aut.transitions:
+        if q == 0 and not base(s).is_initial():
+            report.append(
+                f"condition 1: transition out of the initial state carries a "
+                f"non-initial slice: {q!r} --{to_literal(base(s))}--> {q2!r}")
+        if q2 in aut.finals and not base(s).is_final():
+            report.append(
+                f"condition 2: transition into a final state carries a "
+                f"non-final slice: {q!r} --{to_literal(base(s))}--> {q2!r}")
+    for q, s, q2 in aut.transitions:
+        for s2, q3 in aut.adj[q2]:
+            if not can_glue(base(s), base(s2)):
+                report.append(
+                    f"condition 3: consecutive transitions carry non-gluable slices: "
+                    f"{q!r} --{to_literal(base(s))}--> {q2!r} "
+                    f"--{to_literal(base(s2))}--> {q3!r}")
+    return report
+
+
+def _miswired(aut, every: int):
+    """A copy of `aut` in which every `every`-th edge carries a letter with
+    one port count shifted (in-ports and out-ports in turn), so that it no
+    longer glues to its neighbours."""
+    c = aut.c
+    trans = []
+    for i, (q, s, q2) in enumerate(aut.transitions):
+        if i % every == 0:
+            n_in, n_out = s.n_in, s.n_out
+            if (i // every) % 2:
+                n_in = (n_in + 1) % (c + 1)
+            else:
+                n_out = (n_out + 1) % (c + 1)
+            s = unit_slice(s.label, n_in, n_out)
+        trans.append((q, s, q2))
+    return SliceAutomaton(c, aut.labels, aut.alphabet, 0, aut.finals, trans, states=aut.states)
+
+
 class TestValidation:
     def test_valid_chain_automaton(self):
         assert chain_automaton().validate() == []
@@ -54,11 +98,13 @@ class TestValidation:
         a = SliceAutomaton(1, T, ALPH, 0, {1}, [(0, FINAL, 1)])
         report = a.validate()
         assert any("condition 1" in r for r in report)
+        assert report == _validate_reference(a)
 
     def test_condition_two(self):
         a = SliceAutomaton(1, T, ALPH, 0, {1}, [(0, INIT, 1)])
         report = a.validate()
         assert any("condition 2" in r for r in report)
+        assert report == _validate_reference(a)
 
     def test_condition_three(self):
         wide = unit_alphabet(2, T)
@@ -67,6 +113,17 @@ class TestValidation:
         a = SliceAutomaton(2, T, wide, 0, {2}, [(0, out1, 1), (1, in2, 2)])
         report = a.validate()
         assert any("condition 3" in r for r in report)
+        assert report == _validate_reference(a)
+
+    @pytest.mark.parametrize("name", ["N0", "N1", "N2", "N3"])
+    def test_report_equals_the_pairwise_check(self, name):
+        behavior = cached_net_automaton(name, 3, "ex")
+        assert behavior.validate() == _validate_reference(behavior) == []
+        for every in (1, 7, 23):
+            bad = _miswired(behavior, every)
+            report = bad.validate()
+            assert sum("condition 3" in r for r in report) > 1
+            assert report == _validate_reference(bad)
 
 
 class TestMembership:
@@ -247,3 +304,30 @@ class TestSerialization:
         typo = text.replace("center:t; edges: i1->c} 2", "center:t; edges: i1->c} 7")
         with pytest.raises(InputError, match="line 7: .*undeclared state '7'"):
             SliceAutomaton.from_text(typo)
+
+    @pytest.mark.parametrize("name", ["N0", "N1", "N2", "N3"])
+    def test_behavior_round_trip(self, name):
+        text = cached_net_automaton(name, 3, "ex").to_text()
+        assert SliceAutomaton.from_text(text).to_text() == text
+
+    def test_canonical_literals_are_looked_up(self, monkeypatch):
+        text = cached_net_automaton("N2", 3, "ex").to_text()
+        calls = []
+        parse_literal = automata.from_literal
+
+        def spy(literal):
+            calls.append(literal)
+            return parse_literal(literal)
+
+        monkeypatch.setattr(automata, "from_literal", spy)
+        assert SliceAutomaton.from_text(text).to_text() == text
+        assert calls == []
+
+    def test_non_canonical_literal_parses_to_the_same_letter(self):
+        canonical = "slice{in:2; out:2; center:a; edges: c->o2, i1->o1, i2->c}"
+        spelled = "slice{in:2; out:2; center:a; edges:  i2 -> c ,c->o2,   i1->o1 }"
+        text = cached_net_automaton("N2", 3, "ex").to_text()
+        assert f" {canonical} " in text
+        odd = SliceAutomaton.from_text(text.replace(canonical, spelled, 1))
+        assert odd.to_text() == text
+        assert from_literal(spelled) == from_literal(canonical)

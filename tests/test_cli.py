@@ -185,6 +185,8 @@ BAD_FILES = {
                         "trans 0 slice{in:0; out:0; center:a; edges:  1\n",
     "short-trans.aut": "slice-automaton c=1 alphabet=a\nstate 0 initial\ntrans 0\n",
     "bad-bound.net": "net x bound=x\ntransitions a\nplace init=1 take(a)=1 put(a)=1\n",
+    "flag-typo.aut": "slice-automaton c=1 alphabet=a\nstate 0 initial\nstate 1 finale\n"
+                     "trans 0 slice{in:0; out:0; center:a; edges: } 1\n",
 }
 
 
@@ -195,6 +197,7 @@ BAD_FILES = {
     ["aut", "empty", "open-literal.aut"],
     ["aut", "empty", "short-trans.aut"],
     ["net-automaton", "--net", "bad-bound.net", "--c", "1", "--sem", "ex"],
+    ["aut", "empty", "flag-typo.aut"],
 ])
 def test_bad_arguments_exit_three_without_traceback(files, args):
     write, tmp = files
@@ -269,6 +272,37 @@ def test_aut_intersect_honours_the_state_cap(files, capsys):
     assert main(["net-automaton", "--net", net, "--c", "2", "--sem", "ex", "-o", aut]) == 0
     assert main(["--max-states", "3", "aut", "intersect", aut, aut]) == 2
     assert "intersection" in capsys.readouterr().err
+
+
+def test_aut_empty_honours_the_state_cap(files, capsys):
+    # without final states the walk would read all 382 states of N2 at c=3
+    write, tmp = files
+    net = write("n2.net", make_fixture_nets()["N2"].to_text())
+    aut = str(tmp / "n2.aut")
+    assert main(["net-automaton", "--net", net, "--c", "3", "--sem", "ex", "-o", aut]) == 0
+    lines = open(aut).read().splitlines()
+    nonfinal = write("nonfinal.aut", "".join(
+        ln.replace(" final", "") + "\n" if ln.startswith("state ") else ln + "\n"
+        for ln in lines))
+    assert main(["aut", "empty", nonfinal]) == 0
+    capsys.readouterr()
+    assert main(["--max-states", "5", "aut", "empty", nonfinal]) == 2
+    assert "shortest word" in capsys.readouterr().err
+
+
+def test_state_flag_typo_is_named(files, capsys):
+    write, _ = files
+    typo = write("typo.aut", BAD_FILES["flag-typo.aut"])
+    assert main(["aut", "empty", typo]) == 3
+    assert "line 3: unknown state flag 'finale'" in capsys.readouterr().err
+
+
+def test_literal_outside_the_alphabet_exits_three(files, capsys):
+    write, _ = files
+    text = BAD_FILES["flag-typo.aut"].replace("finale", "final").replace("center:a", "center:z")
+    assert main(["aut", "empty", write("z.aut", text)]) == 3
+    assert capsys.readouterr().err == ("error: transition letter not in the declared alphabet: "
+                                       "slice{in:0; out:0; center:z; edges: }\n")
 
 
 # one unit decomposition of the antichain a||b, whose header claims more

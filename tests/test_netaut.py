@@ -1,12 +1,16 @@
 """Behavior automata of nets versus the process-enumeration oracles."""
 
+from collections import Counter
+
 import pytest
 
+from slw import netaut
 from slw.config import InputError
-from slw.constructions import check_saturated_upto
+from slw.constructions import check_saturated_upto, universal_automaton
 from slw.dag import LabeledPoset
 from slw.netaut import net_automaton
 from slw.ptnet import Place, PtNet, causal_orders, executions, occurrence_sequences
+from slw.slices import Slice
 
 from conftest import cached_net_automaton, poset_keys
 
@@ -60,6 +64,22 @@ class TestStructure:
     def test_bad_semantics_name(self, nets):
         with pytest.raises(InputError):
             net_automaton(nets["N0"], 1, "weird")
+
+    def test_each_letter_is_read_once(self, nets, monkeypatch):
+        # the token game works out a letter's ports on first use, not per
+        # firing; the universal automaton is built before the count starts
+        univ = universal_automaton(3, tuple(nets["N2"].transitions))
+        monkeypatch.setattr(netaut, "universal_automaton", lambda *args: univ)
+        calls = Counter()
+        for attr in ("closing_ports", "bypass_map", "born_ports"):
+            def spy(letter, _attr=attr, _read=getattr(Slice, attr)):
+                calls[_attr, letter] += 1
+                return _read(letter)
+            monkeypatch.setattr(Slice, attr, spy)
+        net_automaton(nets["N2"], 3, "ex")
+        letters = {letter for _, letter in calls}
+        assert letters and set(calls.values()) == {1}
+        assert len(calls) == 3 * len(letters)
 
 
 class TestKnownBehaviors:
