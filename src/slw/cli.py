@@ -66,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "over width-bounded partial-order behaviors.")
     parser.add_argument("--version", action="version", version=f"slw {__version__}")
     parser.add_argument("--max-states", type=int, default=RunConfig().max_states,
-                        help="state cap of every automaton construction")
+                        help="state cap of every automaton construction; also caps "
+                             "the candidate places that synthesis probes")
     parser.add_argument("--max-enum", type=int, default=RunConfig().max_enum_vertices,
                         help="enumeration cap (vertices/events)")
     parser.add_argument("--output", choices=("text", "structured"), default="text")

@@ -68,7 +68,7 @@ def annotated_alphabet(c: int, labels: tuple, sorts: tuple) -> tuple:
         return base
     letters = []
     for s in base:
-        born = s.born_ports()
+        born = s.born_ports
         per_var = [(False, True) if sort in (VERTEX, VSET)
                    else [frozenset()] + [frozenset([o]) for o in born] if sort == EDGE
                    else [frozenset(sub) for r in range(len(born) + 1)
@@ -176,9 +176,9 @@ def _target_tracker(c: int, labels: tuple, ctx: tuple, yvar: Var, xvar: Var,
         if phase == "done":
             return "done"
         port = phase[1]
-        if port in s.base.closing_ports():
+        if port in s.base.closing_ports:
             return "done" if s.marks[xpos] else None
-        return ("riding", s.base.bypass_map()[port])
+        return ("riding", s.base.bypass_map[port])
 
     return _tracker(c, labels, ctx, step, "edge-target tracker", config)
 
@@ -204,10 +204,10 @@ def _path_tracker(c: int, labels: tuple, ctx: tuple,
         if phase == "done":
             return None if in_x or born_y else "done"
         port = phase[1]
-        if port not in s.base.closing_ports():
+        if port not in s.base.closing_ports:
             if in_x or isx2 or born_y:
                 return None
-            return ("riding", s.base.bypass_map()[port])
+            return ("riding", s.base.bypass_map[port])
         if isx2:
             return None if in_x or born_y else "done"
         if in_x and len(born_y) == 1:

@@ -24,16 +24,11 @@ START = "start"   # the tag of the initial summary, which is never final
 class _Frontier:
     """One step of channel bookkeeping for a letter read at the current frontier."""
 
-    __slots__ = ("letter", "closing_ports", "closing_classes", "port_map",
-                 "new_channels", "new_reach", "born_ports", "redundant")
+    __slots__ = ("letter", "closing_classes", "new_channels", "new_reach", "redundant")
 
     def __init__(self, channels: tuple, reach: frozenset, letter: Slice):
         self.letter = letter
-        self.closing_ports = letter.closing_ports()
-        bypass = letter.bypass_map()
-        self.born_ports = letter.born_ports()
-        self.port_map = dict(bypass)
-        self.closing_classes = tuple(channels[p - 1] for p in self.closing_ports)
+        self.closing_classes = tuple(channels[p - 1] for p in letter.closing_ports)
 
         # Redundancy per closing port: its source also reaches the center
         # through another closing channel, i.e. the closed edge is transitive.
@@ -43,13 +38,9 @@ class _Frontier:
             self.redundant.append(any(
                 other != cls and (cls, other) in reach for other in closing_set))
 
-        raw = []
-        for o in range(1, letter.n_out + 1):
-            src_port = next((i for i, t in bypass.items() if t == o), None)
-            if src_port is not None:
-                raw.append(channels[src_port - 1])
-            else:
-                raw.append("x")  # born at the center
+        raw = ["x"] * letter.n_out  # "x": born at the center
+        for i, o in letter.bypass_map.items():
+            raw[o - 1] = channels[i - 1]
         alive = set(raw)
         pairs = {(a, b) for a, b in reach if a in alive and b in alive}
         if "x" in alive:
@@ -79,8 +70,8 @@ def _slot_assignments(slots: tuple, frontier: _Frontier):
     starter. Slot tuples are sorted ("f" < "u" < ("r", k) by k) and each is
     yielded once.
     """
-    closing = set(frontier.closing_ports)
-    born = frontier.born_ports
+    closing, port_map = frontier.letter.closing_ports, frontier.letter.bypass_map
+    born = frontier.letter.born_ports
     options = []
     for st in slots:
         if st == "f":
@@ -92,7 +83,7 @@ def _slot_assignments(slots: tuple, frontier: _Frontier):
             if port in closing:
                 options.append(("f",) + tuple(("r", o) for o in born))
             else:
-                options.append((("r", frontier.port_map[port]),))
+                options.append((("r", port_map[port]),))
     seen = set()
     for combo in itertools.product(*options):
         ridden = {st[1] for st in combo if st != "f" and st != "u"}
@@ -201,20 +192,21 @@ def transitive_reduce_automaton(a: SliceAutomaton,
     def expand(state):
         q, channels, reach, tags = state
         for s, q2 in a.adj[q]:
-            fr = _Frontier(channels, reach, letter_base(s))
+            letter = letter_base(s)
+            fr = _Frontier(channels, reach, letter)
             if not _tags_consistent(fr, tags):
                 continue
             real_in = [p for p, t in enumerate(tags, 1) if t == "r"]
             new_tags = [None] * len(fr.new_channels)
-            for p, o in fr.port_map.items():
+            for p, o in letter.bypass_map.items():
                 new_tags[o - 1] = tags[p - 1]
-            for born_tags in itertools.product("rg", repeat=len(fr.born_ports)):
-                for o, t in zip(fr.born_ports, born_tags):
+            for born_tags in itertools.product("rg", repeat=len(letter.born_ports)):
+                for o, t in zip(letter.born_ports, born_tags):
                     new_tags[o - 1] = t
                 real_out = [o for o, t in enumerate(new_tags, 1) if t == "r"]
                 bypass = {real_in.index(p) + 1: real_out.index(o) + 1
-                          for p, o in fr.port_map.items() if tags[p - 1] == "r"}
-                yield (unit_slice(fr.letter.label, len(real_in), len(real_out), bypass),
+                          for p, o in letter.bypass_map.items() if tags[p - 1] == "r"}
+                yield (unit_slice(letter.label, len(real_in), len(real_out), bypass),
                        (q2, fr.new_channels, fr.new_reach, tuple(new_tags)))
 
     return explore((0, (), frozenset(), ()), expand,
@@ -226,7 +218,7 @@ def transitive_reduce_automaton(a: SliceAutomaton,
 def _tags_consistent(fr: _Frontier, tags: tuple) -> bool:
     """Ghost closures must be transitive (or duplicates of a real parallel
     channel); real closures must be covering and unique per source class."""
-    closing = list(zip(fr.closing_ports, fr.closing_classes, fr.redundant))
+    closing = list(zip(fr.letter.closing_ports, fr.closing_classes, fr.redundant))
     real_classes = [cls for p, cls, _ in closing if tags[p - 1] == "r"]
     if len(real_classes) != len(set(real_classes)):
         return False

@@ -70,18 +70,12 @@ def token_game(net: PtNet, c: int, sem: str, config: RunConfig = DEFAULT_CONFIG)
     # per label, the tokens it takes from and puts on each place
     moves = {t: (tuple(p.take(t) for p in net.places), tuple(p.put(t) for p in net.places))
              for t in net.transitions}
-    facts = {}   # letter -> its firing facts (see _firings), filled on first use
 
     def step(state, letter):
         q, tokens = state
         targets = succ[q].get(letter)
         if targets:
-            fact = facts.get(letter)
-            if fact is None:
-                fact = facts[letter] = moves[letter.label] + (
-                    frozenset(letter.closing_ports()), letter.bypass_map(),
-                    frozenset(letter.born_ports()))
-            for new_tokens in _firings(tokens, fact, net.bound, causal):
+            for new_tokens in _firings(tokens, letter, *moves[letter.label], net.bound, causal):
                 for q2 in targets:
                     yield q2, new_tokens
 
@@ -91,13 +85,10 @@ def token_game(net: PtNet, c: int, sem: str, config: RunConfig = DEFAULT_CONFIG)
     return (0, init_tokens), step, lambda state: state[0] in univ.finals, univ
 
 
-def _firings(tokens: tuple, fact: tuple, bound: int, causal: bool):
-    """All legal token consumptions/productions for firing a letter, given its
-    firing facts (take, put, closing, port_map, born): its label takes take[i]
-    and puts put[i] tokens on place i, and its in-ports hit the center
-    (closing), bypass it (port_map: in-port -> out-port) or its out-ports are
-    fed by it (born)."""
-    take, put, closing, port_map, born = fact
+def _firings(tokens: tuple, letter, take: tuple, put: tuple, bound: int, causal: bool):
+    """All legal token consumptions/productions for firing a letter whose
+    label takes take[i] and puts put[i] tokens on place i."""
+    closing, port_map = letter.closing_ports, letter.bypass_map
     n = len(take)
     by_place: list[list] = [[] for _ in range(n)]
     counts = [0] * n
@@ -113,11 +104,13 @@ def _firings(tokens: tuple, fact: tuple, bound: int, causal: bool):
     for i in range(n):
         # a produced token is consumable only where its producer precedes the center
         choices = [combo for combo in _multiset_choices(by_place[i], take[i])
-                   if all(initial or succ & closing for (_, initial, succ, _), _ in combo)]
+                   if all(initial or not succ.isdisjoint(closing)
+                          for (_, initial, succ, _), _ in combo)]
         if not choices:
             return
         per_place.append(choices)
 
+    born = frozenset(letter.born_ports)
     for assignment in itertools.product(*per_place):
         consumed: dict = {}
         for combo in assignment:
@@ -142,11 +135,11 @@ def _firings(tokens: tuple, fact: tuple, bound: int, causal: bool):
         yield tuple(sorted(counter.items()))
 
 
-def _advance(cls, port_map: dict, closing: frozenset, born: frozenset):
+def _advance(cls, port_map: dict, closing: tuple, born: frozenset):
     """Reindex a surviving token class across the frontier step."""
     place, initial, succ, flow = cls
     succ2 = frozenset(port_map[p] for p in succ if p in port_map)
-    if succ & closing:
+    if not succ.isdisjoint(closing):
         succ2 |= born
     flow2 = frozenset(port_map[p] for p in flow if p in port_map)
     return (place, initial, succ2, flow2)

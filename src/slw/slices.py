@@ -22,9 +22,22 @@ from .dag import LabeledDag
 
 
 class Slice:
-    """A width-bounded DAG fragment with numbered frontier ports."""
+    """A width-bounded DAG fragment with numbered frontier ports.
 
-    __slots__ = ("n_in", "n_out", "center_labels", "edges", "_hash")
+    Construction also records, for reading the slice as a letter, where each
+    frontier port goes:
+
+    - `closing_ports`: the in-ports whose edge ends at a center vertex, as a
+      sorted tuple;
+    - `bypass_map`: in-port -> out-port for the edges that cross the slice
+      without touching a center, in increasing in-port order. The dict is
+      shared by every reader of the slice and must not be written to;
+    - `born_ports`: the out-ports whose edge starts at a center vertex, as a
+      sorted tuple.
+    """
+
+    __slots__ = ("n_in", "n_out", "center_labels", "edges", "_hash",
+                 "closing_ports", "bypass_map", "born_ports")
 
     def __init__(self, n_in: int, n_out: int, center_labels: Sequence, edges: Iterable[tuple]):
         self.n_in = n_in
@@ -33,6 +46,11 @@ class Slice:
         self.edges = tuple(sorted(edges))
         self._hash = hash((self.n_in, self.n_out, self.center_labels, self.edges))
         self._validate()
+        self.closing_ports = tuple(sorted(s[1] for s, d in self.edges
+                                          if s[0] == "i" and d[0] == "c"))
+        self.bypass_map = {s[1]: d[1] for s, d in self.edges if s[0] == "i" and d[0] == "o"}
+        self.born_ports = tuple(sorted(d[1] for s, d in self.edges
+                                       if s[0] == "c" and d[0] == "o"))
 
     def _validate(self):
         in_seen = [0] * self.n_in
@@ -92,20 +110,6 @@ class Slice:
         if not self.is_unit():
             raise InputError("label is defined for unit slices only")
         return self.center_labels[0]
-
-    # For a unit slice: which in-ports hit the center, which bypass where,
-    # and which out-ports are fed by the center.
-    def closing_ports(self) -> tuple:
-        return tuple(sorted(src[1] for src, dst in self.edges
-                            if src[0] == "i" and dst[0] == "c"))
-
-    def bypass_map(self) -> dict:
-        return {src[1]: dst[1] for src, dst in self.edges
-                if src[0] == "i" and dst[0] == "o"}
-
-    def born_ports(self) -> tuple:
-        return tuple(sorted(dst[1] for src, dst in self.edges
-                            if src[0] == "c" and dst[0] == "o"))
 
     def __eq__(self, other):
         return (isinstance(other, Slice)

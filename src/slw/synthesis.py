@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .automata import (SliceAutomaton, _included, counterexample, disjoint, includes,
                        intersect, letter_base)
 from .compiler import po_automaton
-from .config import DEFAULT_CONFIG, InputError, PreconditionError, RunConfig
+from .config import DEFAULT_CONFIG, InputError, PreconditionError, ResourceError, RunConfig
 from .constructions import poset_complement
 from .dag import LabeledPoset
 from .mso import Formula, evaluate_po
@@ -141,6 +141,10 @@ def synthesize(spec: SynthesisSpec, config: RunConfig = DEFAULT_CONFIG,
 def _synthesize(spec: SynthesisSpec, config: RunConfig,
                 log: Optional[ProofLog]) -> tuple[Optional[PtNet], Optional[SliceAutomaton]]:
     """`synthesize`, also returning the behavior automaton of the net it found."""
+    count = (spec.b + 1) ** (1 + 2 * len(spec.labels))
+    if count > config.max_states:
+        raise ResourceError(f"too many candidate places: {count}",
+                            context=f"max_states={config.max_states}")
     feasible = [p for p in candidate_places(spec.labels, spec.b)
                 if feasible_place(p, spec, config)]
     if log:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,19 @@ def test_resource_cap_exit_two(files, capsys):
                  "--b", "1", "--c", "1", "--sem", "ex"])
     assert code == 2
     assert "cap" in capsys.readouterr().err
+
+
+def test_candidate_places_are_capped(files, capsys):
+    # (9+1)^(1+2*3) = 10^7 candidate places against a cap of 1000: refused
+    # before the first probe instead of enumerated
+    write, _ = files
+    phi = write("total.mso", corpus.TOTAL_ORDER)
+    start = time.perf_counter()
+    code = main(["--max-states", "1000", "synth", "--mso", phi, "--alphabet", "a,b,c",
+                 "--b", "9", "--c", "1", "--sem", "cau"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert "candidate places" in capsys.readouterr().err
 
 
 def test_graph_formula_where_order_expected(files, capsys):

@@ -4,10 +4,14 @@ import itertools
 
 import pytest
 
+from slw.automata import letter_base
 from slw.config import InputError, ResourceError, RunConfig
+from slw.constructions import transitive_reduce_automaton
 from slw.dag import LabeledDag, all_dags, dags_isomorphic
 from slw.slices import (UnitDecomposition, can_glue, compose, from_literal, glue,
                         to_literal, unit_alphabet, unit_decompositions, unit_slice)
+
+from conftest import cached_net_automaton
 
 
 class TestGlue:
@@ -68,11 +72,54 @@ class TestCompose:
         assert [d.labels[i] for i in range(3)] == ["a", "b", "c"]
 
 
+# The port facts as Slice methods used to derive them, kept as the reference.
+def _closing_ports(s):
+    return tuple(sorted(src[1] for src, dst in s.edges
+                        if src[0] == "i" and dst[0] == "c"))
+
+
+def _bypass_map(s):
+    return {src[1]: dst[1] for src, dst in s.edges
+            if src[0] == "i" and dst[0] == "o"}
+
+
+def _born_ports(s):
+    return tuple(sorted(dst[1] for src, dst in s.edges
+                        if src[0] == "c" and dst[0] == "o"))
+
+
+def _assert_ports(s):
+    assert s.closing_ports == _closing_ports(s), s
+    assert list(s.bypass_map.items()) == list(_bypass_map(s).items()), s
+    assert s.born_ports == _born_ports(s), s
+
+
+class TestPorts:
+    @pytest.mark.parametrize("c, labels", [(3, ("a", "b")), (4, ("a",))])
+    def test_unit_alphabet(self, c, labels):
+        for s in unit_alphabet(c, labels):
+            _assert_ports(s)
+
+    def test_reversed_literal(self):
+        text = "slice{in:3; out:3; center:a; edges: i3->o1, i2->c, i1->o3, c->o2}"
+        s = from_literal(text)
+        assert s.closing_ports == (2,) and s.born_ports == (2,)
+        assert list(s.bypass_map.items()) == [(1, 3), (3, 1)]
+        _assert_ports(s)
+
+    def test_transitive_reduction_letters(self):
+        tr = transitive_reduce_automaton(cached_net_automaton("N1", 2, "ex"))
+        letters = {letter_base(s) for edges in tr.adj for s, _ in edges}
+        assert letters
+        for s in letters:
+            _assert_ports(s)
+
+
 class TestUnitAlphabet:
     def test_width_one_single_label(self):
         letters = unit_alphabet(1, ("t",))
         assert len(letters) == 5
-        shapes = sorted((s.n_in, s.n_out, len(s.bypass_map())) for s in letters)
+        shapes = sorted((s.n_in, s.n_out, len(s.bypass_map)) for s in letters)
         assert shapes == [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)]
 
     def test_width_one_two_labels(self):
