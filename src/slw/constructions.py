@@ -151,6 +151,10 @@ def _summary_automaton(c: int, labels: tuple, name: str, hasse: bool,
     rejected, which needs the reach relation; without it the stored reach
     stays empty. With a budget, that many path slots ride the channels;
     without one the slots stay empty and unchecked.
+
+    A state's frontier step reads a letter's ports, never its label, so it is
+    computed once per letter shape (`letter.edges`) and shared by the |T|
+    letters of that shape; out-edges keep the alphabet order.
     """
     alphabet = unit_alphabet(c, labels)
     groups = {}
@@ -159,13 +163,21 @@ def _summary_automaton(c: int, labels: tuple, name: str, hasse: bool,
 
     def expand(state):
         _, channels, reach, slots = state
+        by_shape = {}   # letter.edges -> the targets of every letter of that shape
         for letter in groups.get(len(channels), ()):
-            fr = _Frontier(channels, reach, letter)
-            if hasse and not fr.hasse_ok():
-                continue
-            new_reach = fr.new_reach if hasse else frozenset()
-            for new_slots in ((),) if budget is None else _slot_assignments(slots, fr):
-                yield letter, (name, fr.new_channels, new_reach, new_slots)
+            targets = by_shape.get(letter.edges)
+            if targets is None:
+                targets = by_shape[letter.edges] = frontier_step(channels, reach, slots, letter)
+            for target in targets:
+                yield letter, target
+
+    def frontier_step(channels, reach, slots, letter):
+        fr = _Frontier(channels, reach, letter)
+        if hasse and not fr.hasse_ok():
+            return ()
+        new_reach = fr.new_reach if hasse else frozenset()
+        slot_choices = ((),) if budget is None else _slot_assignments(slots, fr)
+        return [(name, fr.new_channels, new_reach, new_slots) for new_slots in slot_choices]
 
     init_slots = () if budget is None else ("u",) * budget
     return explore((START, (), frozenset(), init_slots), expand,

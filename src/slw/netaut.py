@@ -14,6 +14,10 @@ the current frontier):
         in the flow set of some consumed token (the closed covering edge is
         realized by a condition).
 
+Only that causal check reads a flow set, so flow sets are kept under `cau`
+alone: under `ex` every class carries an empty one, and states that differed
+only in flow sets (and so had the same futures) are one state.
+
 Initial-marking tokens have no producing event: they carry empty sets, impose
 no order constraint on consumers, and realize no edge. A state is final when
 its universal-automaton state is; the result is saturated and transitively
@@ -120,8 +124,10 @@ def _firings(tokens: tuple, letter, take: tuple, put: tuple, bound: int, causal:
             flows = [cls[3] for cls in consumed]
             if any(not any(p in f for f in flows) for p in closing):
                 continue  # some closed covering edge has no realizing condition
-        new_flow_from_consumed = frozenset(
-            port_map[p] for cls in consumed for p in cls[3] if p in port_map)
+            new_flow = born | frozenset(
+                port_map[p] for f in flows for p in f if p in port_map)
+        else:
+            new_flow = frozenset()  # nothing reads flow sets under `ex`
         counter: dict = {}
         for cls, cnt in tokens:
             left = cnt - consumed.get(cls, 0)
@@ -130,7 +136,7 @@ def _firings(tokens: tuple, letter, take: tuple, put: tuple, bound: int, causal:
                 counter[adv] = counter.get(adv, 0) + left
         for i in range(n):
             if put[i] > 0:
-                cls = (i, False, born, born | new_flow_from_consumed)
+                cls = (i, False, born, new_flow)
                 counter[cls] = counter.get(cls, 0) + put[i]
         yield tuple(sorted(counter.items()))
 

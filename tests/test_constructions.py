@@ -13,7 +13,7 @@ from slw.constructions import (check_saturated_upto, coverable_automaton, poset_
                                reduced_automaton, transitive_reduce_automaton,
                                universal_automaton)
 from slw.dag import LabeledDag, all_dags
-from slw.slices import unit_decompositions
+from slw.slices import unit_alphabet, unit_decompositions
 
 from conftest import cached_po_automaton, poset_keys
 from slw import corpus
@@ -68,6 +68,48 @@ class TestUniversal:
         monkeypatch.setattr(constructions, "_slot_assignments", spy)
         universal_automaton.__wrapped__(3, ("a", "b"))
         assert fresh and all(fresh)
+
+
+def _reference_summary_automaton(c, labels, name, hasse, budget, **flags):
+    """The summary automaton with one frontier step per letter, as built
+    before letters of one shape shared theirs: the reference for its bytes."""
+    alphabet = unit_alphabet(c, labels)
+    groups = {}
+    for s in alphabet:
+        groups.setdefault(s.n_in, []).append(s)
+
+    def expand(state):
+        _, channels, reach, slots = state
+        for letter in groups.get(len(channels), ()):
+            fr = constructions._Frontier(channels, reach, letter)
+            if hasse and not fr.hasse_ok():
+                continue
+            new_reach = fr.new_reach if hasse else frozenset()
+            for new_slots in ((),) if budget is None else \
+                    constructions._slot_assignments(slots, fr):
+                yield letter, (name, fr.new_channels, new_reach, new_slots)
+
+    init_slots = () if budget is None else ("u",) * budget
+    return explore((constructions.START, (), frozenset(), init_slots), expand,
+                   lambda state: state[0] != constructions.START and state[1] == (),
+                   c, labels, alphabet, name=name, **flags)
+
+
+class TestOneStepPerShape:
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("labels", [("a",), ("a", "b"), ("a", "b", "c")])
+    def test_summary_automata_unchanged(self, c, labels):
+        pairs = [
+            (universal_automaton(c, labels), _reference_summary_automaton(
+                c, labels, "universal automaton", True, c,
+                saturated=True, transitively_reduced=True)),
+            (coverable_automaton(c, labels), _reference_summary_automaton(
+                c, labels, "coverable automaton", False, c, saturated=True)),
+            (reduced_automaton(c, labels), _reference_summary_automaton(
+                c, labels, "reduced automaton", True, None, transitively_reduced=True)),
+        ]
+        for built, reference in pairs:
+            assert built.to_text() == reference.to_text()
 
 
 class TestPrimitives:
