@@ -4,7 +4,7 @@ The token game is played on the universal automaton: a state pairs a state of
 universal_automaton(c, T), which admits exactly the unit decompositions of
 Hasse diagrams coverable by c paths, with a multiset of token classes. A token
 class records its place instance and two sets of open channels (the ports of
-the current frontier):
+the current frontier), each held as a sorted tuple:
 
   succ: channels whose source vertex is causally at-or-after the producing
         event; consuming the token at a center is legal iff some channel
@@ -16,7 +16,9 @@ the current frontier):
 
 Only that causal check reads a flow set, so flow sets are kept under `cau`
 alone: under `ex` every class carries an empty one, and states that differed
-only in flow sets (and so had the same futures) are one state.
+only in flow sets (and so had the same futures) are one state. Sorted tuples
+compare totally, where frozensets compare only by inclusion, so a state's
+sorted multiset is canonical: equal multisets always make one state.
 
 Initial-marking tokens have no producing event: they carry empty sets, impose
 no order constraint on consumers, and realize no edge. A state is final when
@@ -84,7 +86,7 @@ def token_game(net: PtNet, c: int, sem: str, config: RunConfig = DEFAULT_CONFIG)
                     yield q2, new_tokens
 
     init_tokens = tuple(sorted(
-        ((i, True, frozenset(), frozenset()), p.tokens)
+        ((i, True, (), ()), p.tokens)
         for i, p in enumerate(net.places) if p.tokens > 0))
     return (0, init_tokens), step, lambda state: state[0] in univ.finals, univ
 
@@ -92,7 +94,7 @@ def token_game(net: PtNet, c: int, sem: str, config: RunConfig = DEFAULT_CONFIG)
 def _firings(tokens: tuple, letter, take: tuple, put: tuple, bound: int, causal: bool):
     """All legal token consumptions/productions for firing a letter whose
     label takes take[i] and puts put[i] tokens on place i."""
-    closing, port_map = letter.closing_ports, letter.bypass_map
+    closing, port_map, born = frozenset(letter.closing_ports), letter.bypass_map, letter.born_ports
     n = len(take)
     by_place: list[list] = [[] for _ in range(n)]
     counts = [0] * n
@@ -108,13 +110,13 @@ def _firings(tokens: tuple, letter, take: tuple, put: tuple, bound: int, causal:
     for i in range(n):
         # a produced token is consumable only where its producer precedes the center
         choices = [combo for combo in _multiset_choices(by_place[i], take[i])
-                   if all(initial or not succ.isdisjoint(closing)
+                   if all(initial or not closing.isdisjoint(succ)
                           for (_, initial, succ, _), _ in combo)]
         if not choices:
             return
         per_place.append(choices)
 
-    born = frozenset(letter.born_ports)
+    advanced: dict = {}  # a surviving class advances alike under every assignment
     for assignment in itertools.product(*per_place):
         consumed: dict = {}
         for combo in assignment:
@@ -124,31 +126,33 @@ def _firings(tokens: tuple, letter, take: tuple, put: tuple, bound: int, causal:
             flows = [cls[3] for cls in consumed]
             if any(not any(p in f for f in flows) for p in closing):
                 continue  # some closed covering edge has no realizing condition
-            new_flow = born | frozenset(
-                port_map[p] for f in flows for p in f if p in port_map)
+            new_flow = tuple(sorted(set(born).union(
+                port_map[p] for f in flows for p in f if p in port_map)))
         else:
-            new_flow = frozenset()  # nothing reads flow sets under `ex`
+            new_flow = ()  # nothing reads flow sets under `ex`
         counter: dict = {}
         for cls, cnt in tokens:
             left = cnt - consumed.get(cls, 0)
             if left > 0:
-                adv = _advance(cls, port_map, closing, born)
+                adv = advanced.get(cls)
+                if adv is None:
+                    adv = advanced[cls] = _advance(cls, port_map, closing, born)
                 counter[adv] = counter.get(adv, 0) + left
         for i in range(n):
             if put[i] > 0:
                 cls = (i, False, born, new_flow)
                 counter[cls] = counter.get(cls, 0) + put[i]
-        yield tuple(sorted(counter.items()))
+        yield tuple(sorted(counter.items()))  # classes compare totally: canonical order
 
 
-def _advance(cls, port_map: dict, closing: tuple, born: frozenset):
+def _advance(cls, port_map: dict, closing: frozenset, born: tuple):
     """Reindex a surviving token class across the frontier step."""
     place, initial, succ, flow = cls
-    succ2 = frozenset(port_map[p] for p in succ if p in port_map)
-    if not succ.isdisjoint(closing):
-        succ2 |= born
-    flow2 = frozenset(port_map[p] for p in flow if p in port_map)
-    return (place, initial, succ2, flow2)
+    succ2 = {port_map[p] for p in succ if p in port_map}
+    if not closing.isdisjoint(succ):
+        succ2.update(born)
+    flow2 = sorted(port_map[p] for p in flow if p in port_map)
+    return (place, initial, tuple(sorted(succ2)), tuple(flow2))
 
 
 def _multiset_choices(classes: list, need: int):

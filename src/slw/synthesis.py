@@ -7,10 +7,11 @@ probe is explored only as far as the walk reads it, never built as an
 automaton, and the walk stops at the first specified word the probe rejects.
 The synthesized net is the union of all feasible places (with full
 multiplicity under the causal semantics, where repetition can enlarge
-behavior). Minimality for the execution semantics follows from per-place
-conjunctivity of the token game:
-any competitor's places are individually feasible, so the all-feasible-places
-net is the most constrained net containing the specification.
+behavior). Under the execution semantics a net behaves as the intersection of
+its places' behaviors, so it is minimal (any competitor's places are feasible)
+and contains the specification (each of its places does). Under the causal
+semantics containment is one walk against the net's token game. Only
+`separate` builds the returned net's behavior, once, to test disjointness.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+# `includes` is unused here, but the benchmark tracer wraps slw.synthesis.includes by name
 from .automata import (SliceAutomaton, _included, counterexample, disjoint, includes,
                        intersect, letter_base)
 from .compiler import po_automaton
@@ -118,9 +120,13 @@ def feasible_place(place: Place, spec: SynthesisSpec,
     automaton; the walk stops at the first specified word the probe rejects.
     """
     probe = PtNet(spec.labels, [place], bound=spec.b, name="probe", check_transitions=False)
-    start, step, is_final, _ = token_game(probe, spec.c, spec.sem, config)
-    return _included(spec.automaton, start, step, is_final, config,
-                     name="probe inclusion") is None
+    return _admits(probe, spec, config, "probe inclusion")
+
+
+def _admits(net: PtNet, spec: SynthesisSpec, config: RunConfig, name: str) -> bool:
+    """True iff one walk of the spec against the net's token game finds no rejected word."""
+    start, step, is_final, _ = token_game(net, spec.c, spec.sem, config)
+    return _included(spec.automaton, start, step, is_final, config, name=name) is None
 
 
 # -- net synthesis (minimal containment) ------------------------------------------------
@@ -133,14 +139,10 @@ def synthesize(spec: SynthesisSpec, config: RunConfig = DEFAULT_CONFIG,
 
     Under the execution semantics the result is minimal: every place of any
     containing net is individually feasible, and the execution behavior of a
-    union of places is the intersection of their single-place behaviors.
+    union of places is the intersection of their single-place behaviors, so
+    containment follows from the probes. Under the causal semantics it is one
+    walk against the net's token game; no behavior automaton is built.
     """
-    return _synthesize(spec, config, log)[0]
-
-
-def _synthesize(spec: SynthesisSpec, config: RunConfig,
-                log: Optional[ProofLog]) -> tuple[Optional[PtNet], Optional[SliceAutomaton]]:
-    """`synthesize`, also returning the behavior automaton of the net it found."""
     count = (spec.b + 1) ** (1 + 2 * len(spec.labels))
     if count > config.max_states:
         raise ResourceError(f"too many candidate places: {count}",
@@ -155,18 +157,15 @@ def _synthesize(spec: SynthesisSpec, config: RunConfig,
             if log:
                 log.step(f"transition {t} has feasible input and output places",
                          "region enumeration", False)
-            return None, None
+            return None
     copies = 1 if spec.sem == "ex" else spec.r
     places = [p for p in feasible for _ in range(copies)]
     net = PtNet(spec.labels, places, bound=spec.b, name="synthesized")
-    achieved = net_automaton(net, spec.c, spec.sem, config)
-    contains = includes(spec.automaton, achieved, config)
+    contains = spec.sem == "ex" or _admits(net, spec, config, "inclusion")
     if log:
         log.step("specification contained in synthesized behavior",
                  "slice-language inclusion on saturated reduced automata", contains)
-    if not contains:
-        return None, None
-    return net, achieved
+    return net if contains else None
 
 
 def separate(spec: SynthesisSpec, forbidden: SliceAutomaton,
@@ -180,10 +179,10 @@ def separate(spec: SynthesisSpec, forbidden: SliceAutomaton,
     if forbidden.saturated is not True or forbidden.transitively_reduced is not True:
         raise PreconditionError("the forbidden automaton must be saturated and "
                                 "transitively reduced")
-    net, achieved = _synthesize(spec, config, log)
+    net = synthesize(spec, config, log)
     if net is None:
         return None
-    clean = disjoint(achieved, forbidden, config)
+    clean = disjoint(net_automaton(net, spec.c, spec.sem, config), forbidden, config)
     if log:
         log.step("synthesized behavior avoids the forbidden language",
                  "syntactic disjointness of saturated reduced automata", clean)

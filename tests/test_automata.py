@@ -226,12 +226,12 @@ class TestDecisions:
 
     def test_inclusion_stops_at_the_first_counterexample(self):
         # N2 runs a and b concurrently, N1 alternates them: the walk meets a
-        # counterexample after 14 pairs, while the trimmed difference keeps 294
+        # counterexample after 14 pairs, while the trimmed difference keeps 268
         n1 = cached_net_automaton("N1", 3, "ex")
         n2 = cached_net_automaton("N2", 3, "ex")
         capped = RunConfig(max_states=20)
         assert not includes(n2, n1, capped)
-        assert len(difference(n2, n1).states) == 294
+        assert len(difference(n2, n1).states) == 268
         with pytest.raises(ResourceError, match="difference"):
             difference(n2, n1, capped)
 

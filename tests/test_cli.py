@@ -178,6 +178,18 @@ def test_candidate_places_are_capped(files, capsys):
     assert "candidate places" in capsys.readouterr().err
 
 
+def test_three_label_synthesis_fits_a_small_cap(files, capsys):
+    # 3^7 = 2187 candidate places fit under the cap, and the 36 feasible ones
+    # are returned without building their net's 6401-state token game
+    write, _ = files
+    phi = write("total.mso", corpus.TOTAL_ORDER)
+    code = main(["--max-states", "2500", "synth", "--mso", phi, "--alphabet", "a,b,c",
+                 "--b", "2", "--c", "1", "--sem", "ex"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert sum(ln.startswith("place") for ln in out.splitlines()) == 36
+
+
 def test_graph_formula_where_order_expected(files, capsys):
     write, _ = files
     net = write("n1.net", N1_TEXT)

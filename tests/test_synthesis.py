@@ -3,7 +3,7 @@
 import pytest
 
 from slw import netaut, synthesis
-from slw.automata import SliceAutomaton, difference, intersect
+from slw.automata import SliceAutomaton, difference, includes, intersect
 from slw.config import InputError, PreconditionError
 from slw.dag import LabeledPoset
 from slw.mso import Truth, parse
@@ -71,7 +71,8 @@ class TestProbeWalk:
         assert walked == [built_probe_feasible(p, spec) for p in places]
         assert any(walked) and not all(walked)
 
-    def test_synthesis_builds_no_probe_automaton(self, monkeypatch):
+    @staticmethod
+    def built_by_synthesis(monkeypatch, spec):
         built = []
 
         def spy(net, *args):
@@ -80,10 +81,19 @@ class TestProbeWalk:
 
         monkeypatch.setattr(netaut, "net_automaton", spy)
         monkeypatch.setattr(synthesis, "net_automaton", spy)
+        assert synthesize(spec) is not None
+        return built
+
+    def test_synthesis_builds_no_probe_automaton(self, monkeypatch):
         spec = SynthesisSpec(cached_po_automaton(corpus.ALTERNATING_AB, 1, TAB),
                              1, 1, 1, "ex", TAB)
-        assert synthesize(spec) is not None
-        assert built == ["synthesized"]
+        assert self.built_by_synthesis(monkeypatch, spec) == []
+
+    def test_causal_synthesis_builds_no_automaton(self, monkeypatch):
+        # the synth benchmark job: containment is walked, not built
+        spec = SynthesisSpec(cached_po_automaton(corpus.TOTAL_ORDER, 2, TAB),
+                             2, 2, 1, "cau", TAB)
+        assert self.built_by_synthesis(monkeypatch, spec) == []
 
     def test_feasible_place_builds_no_automaton(self, monkeypatch):
         spec = SynthesisSpec(cached_po_automaton(corpus.TOTAL_ORDER, 2, TAB),
@@ -136,6 +146,40 @@ class TestSynthesize:
                                 saturated=True, transitively_reduced=True)
         with pytest.raises(InputError, match="declared"):
             SynthesisSpec(narrow, 1, 1, 1, "ex", TA)
+
+
+def built_containment(spec):
+    """The reference containment check: build the behavior of the net of all
+    feasible places (each repeated r times under `cau`) and test inclusion.
+    None when some transition lacks a feasible input or output place."""
+    feasible = [p for p in candidate_places(spec.labels, spec.b) if feasible_place(p, spec)]
+    if any(not any(p.put(t) for p in feasible) or not any(p.take(t) for p in feasible)
+           for t in spec.labels):
+        return None
+    copies = 1 if spec.sem == "ex" else spec.r
+    net = PtNet(spec.labels, [p for p in feasible for _ in range(copies)],
+                bound=spec.b, name="synthesized")
+    return includes(spec.automaton, net_automaton(net, spec.c, spec.sem))
+
+
+class TestContainmentWithoutBuild:
+    """Synthesis answers the containment question the built behavior answers."""
+
+    @pytest.mark.parametrize("sem", ["ex", "cau"])
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("name", sorted(corpus.ORDER_CORPUS))
+    def test_agrees_with_built_containment(self, name, c, b, sem):
+        spec = SynthesisSpec(cached_po_automaton(corpus.ORDER_CORPUS[name], c, TAB),
+                             c, b, 1, sem, TAB)
+        contains = built_containment(spec)
+        net = synthesize(spec)
+        if contains is None:
+            assert net is None
+            return
+        assert (net is not None) == contains
+        if sem == "ex":
+            assert contains
 
 
 class TestCausalSynthesis:
