@@ -16,10 +16,12 @@ ordered by hash or by `repr`. Every exploration is capped by
 Automata are immutable and Boolean operations return fresh automata. Nothing
 is memoized on an automaton but its per-state successor index. A difference
 walks the subsets of its right operand on the fly, building only those its
-left operand's words reach. Inclusion, emptiness and shortest words build no
-automaton: one walk reads the left operand against subsets of the right one,
-which may be a successor function such as a token game played only as far as
-the walk reads it, and returns the first counterexample's shortest word.
+left operand's words reach. Inclusion, disjointness, emptiness and shortest
+words build no automaton: one walk reads the left operand against subsets of
+the right one, which may be a successor function such as a token game played
+only as far as the walk reads it, and returns the shortest word that escapes
+the right operand (inclusion) or that it accepts too (disjointness). A
+product is built only where it is an output.
 """
 
 from __future__ import annotations
@@ -241,11 +243,11 @@ class SliceAutomaton:
         yield from rec(0, [])
 
     def shortest_accepted(self, config: RunConfig = DEFAULT_CONFIG) -> Optional[tuple]:
-        """A length-minimal accepted word, or None: the inclusion walk against
-        a right operand whose one key never accepts, so its pairs are exactly
-        the reachable states."""
-        return _included(self, None, lambda k, s: (k,), lambda k: False, config,
-                         name="shortest word")
+        """A length-minimal accepted word, or None: the walk against a right
+        operand whose one key never accepts, so its pairs are exactly the
+        reachable states."""
+        return _walk(self, None, lambda k, s: (k,), lambda k: False, config,
+                     name="shortest word")
 
     def po_members_up_to(self, n: int,
                          config: RunConfig = DEFAULT_CONFIG) -> list[LabeledPoset]:
@@ -482,52 +484,78 @@ def difference(a: SliceAutomaton, b: SliceAutomaton,
                    transitively_reduced=True if a.transitively_reduced else None).trim()
 
 
-def _included(a: SliceAutomaton, start, step, accepting, config: RunConfig, *,
-              name: str) -> Optional[tuple]:
-    """A shortest word of `a` that leads the right operand from `start` to no
-    accepting key, or None: `step(key, letter)` gives the keys one letter
-    leads to.
+def _walk(a: SliceAutomaton, start, step, accepting, config: RunConfig, *,
+          name: str, meets: bool = False) -> Optional[tuple]:
+    """A shortest word of `a` that leads the right operand from `start` to a
+    set of keys holding no accepting key (`meets=False`) or some accepting
+    key (`meets=True`), or None: `step(key, letter)` gives the keys one
+    letter leads to.
 
     A breadth-first walk over pairs (state of a, set of right-operand keys)
     in `explore`'s order; it stops at the first edge into a final state of a
-    whose set holds no accepting key, so only the pairs before it are read,
-    and `step`, memoized for the one walk, only on the keys they hold. Reading
-    more than `config.max_states` pairs raises a ResourceError naming `name`.
+    whose set answers the question, so only the pairs before it are read.
+    Keys are numbered when first reached, as `explore` numbers states, so a
+    set is a frozenset of ints, and `step` and `accepting` run once per key
+    (and letter). Under `meets=True` an empty set can meet nothing, and its
+    pair is dropped. Reading more than `config.max_states` pairs, or more
+    than `config.max_states` keys, raises a ResourceError naming `name`.
     """
-    a_adj, a_finals = a.adj, a.finals
-    memo = {}
+    a_adj, a_finals, cap = a.adj, a.finals, config.max_states
+    ids = {start: 0}
+    keys = [start]                  # key id -> key
+    accepts = [accepting(start)]    # key id -> accepting?
+    memo = {}                       # (key id, letter) -> ids of the keys it leads to
 
-    def image(keys, letter):
+    def image(kids, letter):
         out = set()
-        for key in keys:
-            nxt = memo.get((key, letter))
+        for k in kids:
+            nxt = memo.get((k, letter))
             if nxt is None:
-                nxt = memo[key, letter] = tuple(step(key, letter))
+                nxt = []
+                for key in step(keys[k], letter):
+                    i = ids.get(key)
+                    if i is None:
+                        i = ids[key] = len(keys)
+                        if i >= cap:
+                            raise ResourceError(f"state cap exceeded in {name}",
+                                                context=f"max_states={cap}")
+                        keys.append(key)
+                        accepts.append(accepting(key))
+                    nxt.append(i)
+                memo[k, letter] = nxt = tuple(nxt)
             out.update(nxt)
         return frozenset(out)
 
-    first = (0, frozenset([start]))
+    first = (0, frozenset([0]))
     parent = {first: None}   # pair -> (the pair it was reached from, letter)
     queue = deque([first])
     while queue:
         pair = queue.popleft()
-        qa, keys = pair
+        qa, kids = pair
         for letter, qa2 in a_adj[qa]:
-            keys2 = image(keys, letter)
-            if qa2 in a_finals and not any(accepting(k) for k in keys2):
+            kids2 = image(kids, letter)
+            if qa2 in a_finals and any(accepts[k] for k in kids2) == meets:
                 word = (letter,)
                 while parent[pair] is not None:
                     pair, s = parent[pair]
                     word = (s,) + word
                 return word
-            nxt = (qa2, keys2)
+            if meets and not kids2:
+                continue
+            nxt = (qa2, kids2)
             if nxt not in parent:
-                if len(parent) >= config.max_states:
+                if len(parent) >= cap:
                     raise ResourceError(f"state cap exceeded in {name}",
-                                        context=f"max_states={config.max_states}")
+                                        context=f"max_states={cap}")
                 parent[nxt] = (pair, letter)
                 queue.append(nxt)
     return None
+
+
+def _nfa_step(b: SliceAutomaton):
+    """`_walk`'s step over the states of b: a state's targets on a letter."""
+    succ = b.successors()
+    return lambda q, s: succ[q].get(s, ())
 
 
 def counterexample(a: SliceAutomaton, b: SliceAutomaton,
@@ -535,9 +563,7 @@ def counterexample(a: SliceAutomaton, b: SliceAutomaton,
     """A shortest word of L(a) \\ L(b), or None, by one walk of a against the
     subsets of b's states; b is never determinized or complemented."""
     _require_same_alphabet(a, b)
-    succ, finals = b.successors(), b.finals
-    return _included(a, 0, lambda q, s: succ[q].get(s, ()), finals.__contains__, config,
-                     name="inclusion")
+    return _walk(a, 0, _nfa_step(b), b.finals.__contains__, config, name="inclusion")
 
 
 def includes(a: SliceAutomaton, b: SliceAutomaton,
@@ -547,11 +573,22 @@ def includes(a: SliceAutomaton, b: SliceAutomaton,
     return counterexample(a, b, config) is None
 
 
+def common_word(a: SliceAutomaton, b: SliceAutomaton,
+                config: RunConfig = DEFAULT_CONFIG) -> Optional[tuple]:
+    """A shortest word of L(a) ∩ L(b), or None, by one walk of a against the
+    subsets of b's states that stops at the first word both accept; no
+    product is built."""
+    _require_same_alphabet(a, b)
+    return _walk(a, 0, _nfa_step(b), b.finals.__contains__, config, name="disjointness",
+                 meets=True)
+
+
 def disjoint(a: SliceAutomaton, b: SliceAutomaton,
              config: RunConfig = DEFAULT_CONFIG) -> bool:
-    """True iff L(a) ∩ L(b) = ∅. With both transitively reduced and one
-    saturated, this decides poset-language disjointness as well."""
-    return intersect(a, b, config).is_empty(config)
+    """True iff L(a) ∩ L(b) = ∅, by the `common_word` walk. With both
+    transitively reduced and one saturated, this decides poset-language
+    disjointness as well."""
+    return common_word(a, b, config) is None
 
 
 def equivalent(a: SliceAutomaton, b: SliceAutomaton,

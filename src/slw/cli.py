@@ -67,7 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"slw {__version__}")
     parser.add_argument("--max-states", type=int, default=RunConfig().max_states,
                         help="state cap of every automaton construction; also caps "
-                             "the candidate places that synthesis probes")
+                             "the pairs and the right-operand keys that each "
+                             "inclusion or disjointness walk reads, and the "
+                             "candidate places that synthesis probes")
     parser.add_argument("--max-enum", type=int, default=RunConfig().max_enum_vertices,
                         help="enumeration cap (vertices/events)")
     parser.add_argument("--output", choices=("text", "structured"), default="text")

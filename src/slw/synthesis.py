@@ -10,8 +10,12 @@ multiplicity under the causal semantics, where repetition can enlarge
 behavior). Under the execution semantics a net behaves as the intersection of
 its places' behaviors, so it is minimal (any competitor's places are feasible)
 and contains the specification (each of its places does). Under the causal
-semantics containment is one walk against the net's token game. Only
-`separate` builds the returned net's behavior, once, to test disjointness.
+semantics containment is one walk against the net's token game, and
+`separate` tests disjointness by one walk of the forbidden language against
+that game, stopping at the first word both accept. No procedure builds the
+behavior of a net it synthesizes, and `verify` and `synth_from_contract`
+build no product: a product is built only where it is an output (the targets
+of `safest` and `repair`).
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 # `includes` is unused here, but the benchmark tracer wraps slw.synthesis.includes by name
-from .automata import (SliceAutomaton, _included, counterexample, disjoint, includes,
-                       intersect, letter_base)
+from .automata import (SliceAutomaton, _require_same_alphabet, _walk, common_word,
+                       counterexample, includes, intersect, letter_base)
 from .compiler import po_automaton
 from .config import DEFAULT_CONFIG, InputError, PreconditionError, ResourceError, RunConfig
 from .constructions import poset_complement
@@ -126,7 +130,7 @@ def feasible_place(place: Place, spec: SynthesisSpec,
 def _admits(net: PtNet, spec: SynthesisSpec, config: RunConfig, name: str) -> bool:
     """True iff one walk of the spec against the net's token game finds no rejected word."""
     start, step, is_final, _ = token_game(net, spec.c, spec.sem, config)
-    return _included(spec.automaton, start, step, is_final, config, name=name) is None
+    return _walk(spec.automaton, start, step, is_final, config, name=name) is None
 
 
 # -- net synthesis (minimal containment) ------------------------------------------------
@@ -174,15 +178,20 @@ def separate(spec: SynthesisSpec, forbidden: SliceAutomaton,
     """Minimal containing net whose behavior avoids the forbidden language.
 
     By minimality, if the synthesized net's behavior meets the forbidden
-    language then no solution exists at all.
+    language then no solution exists at all. Disjointness is one walk of the
+    forbidden automaton against the net's token game, which is played only
+    as far as the walk reads it and never built as an automaton.
     """
     if forbidden.saturated is not True or forbidden.transitively_reduced is not True:
         raise PreconditionError("the forbidden automaton must be saturated and "
                                 "transitively reduced")
+    _require_same_alphabet(forbidden, spec.automaton)
     net = synthesize(spec, config, log)
     if net is None:
         return None
-    clean = disjoint(net_automaton(net, spec.c, spec.sem, config), forbidden, config)
+    start, step, is_final, _ = token_game(net, spec.c, spec.sem, config)
+    clean = _walk(forbidden, start, step, is_final, config, name="disjointness",
+                  meets=True) is None
     if log:
         log.step("synthesized behavior avoids the forbidden language",
                  "syntactic disjointness of saturated reduced automata", clean)
@@ -198,11 +207,11 @@ def verify(net: PtNet, phi: Formula, c: int, sem: str,
     """Compare a net's c-bounded behavior against an order formula:
     emptiness of intersection and inclusion in both directions, each with a
     minimal oracle-checked counterexample when it fails. Every witness is a
-    shortest word of the one inclusion walk; no difference automaton is built."""
+    shortest word of one walk; no product or difference automaton is built."""
     labels = tuple(net.transitions)
     spec_aut = po_automaton(phi, c, labels, config)
     net_aut = net_automaton(net, c, sem, config)
-    common = intersect(net_aut, spec_aut, config).shortest_accepted(config)
+    common = common_word(net_aut, spec_aut, config)
     net_minus_spec = counterexample(net_aut, spec_aut, config)
     spec_minus_net = counterexample(spec_aut, net_aut, config)
     is_disjoint = common is None
@@ -280,7 +289,7 @@ def synth_from_contract(phi_yes: Formula, phi_no: Formula, labels: Sequence,
     labels = tuple(sorted(labels))  # the order of PtNet.transitions
     yes_aut = po_automaton(phi_yes, c, labels, config)
     no_aut = po_automaton(phi_no, c, labels, config)
-    overlap = intersect(yes_aut, no_aut, config).shortest_accepted(config)
+    overlap = common_word(yes_aut, no_aut, config)
     if overlap is not None:
         raise PreconditionError(
             "contract overlap: the good and bad languages share a poset:\n"

@@ -5,8 +5,9 @@ from collections import deque
 import pytest
 
 from slw import automata, corpus, synthesis
-from slw.automata import (SliceAutomaton, counterexample, difference, equivalent,
-                          from_decompositions, includes, intersect, union, valid_sequences)
+from slw.automata import (SliceAutomaton, common_word, counterexample, difference, disjoint,
+                          equivalent, from_decompositions, includes, intersect, union,
+                          valid_sequences)
 from slw.config import InputError, ResourceError, RunConfig
 from slw.constructions import universal_automaton
 from slw.dag import LabeledDag
@@ -224,6 +225,19 @@ class TestDecisions:
             includes(cached_net_automaton("N1", 3, "ex"),
                      cached_net_automaton("N2", 3, "ex"), RunConfig(max_states=20))
 
+    def test_walk_counts_right_operand_keys_against_the_cap(self):
+        # one letter leads b's initial state to 30 states while the walks
+        # read only two pairs
+        fan = SliceAutomaton(1, T, ALPH, 0, range(1, 31),
+                             [(0, INIT_FINAL, q) for q in range(1, 31)])
+        capped = RunConfig(max_states=10)
+        with pytest.raises(ResourceError, match="state cap exceeded in inclusion"):
+            counterexample(chain_automaton(), fan, capped)
+        with pytest.raises(ResourceError, match="state cap exceeded in disjointness"):
+            common_word(chain_automaton(), fan, capped)
+        assert common_word(chain_automaton(), fan) == (INIT_FINAL,)
+        assert counterexample(chain_automaton(), fan) == (INIT, FINAL)
+
     def test_inclusion_stops_at_the_first_counterexample(self):
         # N2 runs a and b concurrently, N1 alternates them: the walk meets a
         # counterexample after 14 pairs, while the trimmed difference keeps 268
@@ -239,7 +253,8 @@ class TestDecisions:
     @pytest.mark.parametrize("sem", ["ex", "cau"])
     def test_walk_words_match_the_difference_automaton(self, c, sem):
         # the walk's witness is the word the old path read off the built,
-        # trimmed difference, in both directions of every net x formula pair
+        # trimmed difference (or product), in both directions of every net x
+        # formula pair
         witnesses = 0
         for name, net in make_fixture_nets().items():
             behavior = cached_net_automaton(name, c, sem)
@@ -250,6 +265,9 @@ class TestDecisions:
                     assert word == _bfs_shortest(difference(a, b))
                     assert includes(a, b) == (word is None)
                     witnesses += word is not None
+                    common = common_word(a, b)
+                    assert common == intersect(a, b).shortest_accepted()
+                    assert disjoint(a, b) == (common is None)
                 both = intersect(behavior, spec)
                 assert both.shortest_accepted() == _bfs_shortest(both)
                 assert both.is_empty() == (_bfs_shortest(both) is None)
@@ -270,7 +288,7 @@ class TestDecisions:
         monkeypatch.setattr(automata, "explore", spy)
         report = synthesis.verify(make_fixture_nets()["N2"], parse(corpus.TOTAL_ORDER), 2, "ex")
         assert sorted(report.counterexamples) == ["common", "net-minus-spec", "spec-minus-net"]
-        assert names == ["intersection"]
+        assert names == []
 
     def test_po_members_of_universal_one(self):
         mem = universal_automaton(1, T).po_members_up_to(3)

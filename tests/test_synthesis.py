@@ -5,6 +5,7 @@ import pytest
 from slw import netaut, synthesis
 from slw.automata import SliceAutomaton, difference, includes, intersect
 from slw.config import InputError, PreconditionError
+from slw.constructions import poset_complement
 from slw.dag import LabeledPoset
 from slw.mso import Truth, parse
 from slw.netaut import net_automaton
@@ -13,7 +14,7 @@ from slw.synthesis import (ProofLog, SynthesisSpec, VerificationReport, candidat
                            feasible_place, repair, safest_subsystem, separate,
                            synth_from_contract, synth_from_mso, synthesize, verify)
 
-from conftest import cached_net_automaton, cached_po_automaton, poset_keys
+from conftest import cached_net_automaton, cached_po_automaton, make_fixture_nets, poset_keys
 from slw import corpus
 
 TA = ("a",)
@@ -182,6 +183,55 @@ class TestContainmentWithoutBuild:
             assert contains
 
 
+NOISY = PtNet(TAB, [Place(1, takes={"a": 1}, name="pa"),
+                    Place(0, puts={"a": 1}, name="pout"),
+                    Place(1, takes={"b": 1}, puts={"b": 1}, name="pb")],
+              bound=1, name="noisy")
+
+
+def separation_case(case, c, b, sem):
+    """The (spec, forbidden) pair that `safest`, `repair` or `contract` hands
+    to `separate`: safest on N0-N2 and total-order, repair of the noisy net
+    (keep alternating-ab, allow no consecutive-aa), and the alternating-ab /
+    consecutive-aa contract."""
+    if case == "contract":
+        spec_aut = cached_po_automaton(corpus.ALTERNATING_AB, c, TAB)
+        return (SynthesisSpec(spec_aut, c, b, 1, sem, TAB),
+                cached_po_automaton(corpus.CONSECUTIVE_AA, c, TAB))
+    if case == "repair":
+        behavior = net_automaton(NOISY, c, sem)
+        target = intersect(cached_po_automaton(corpus.ALTERNATING_AB, c, TAB), behavior)
+        forbidden = poset_complement(
+            cached_po_automaton("!(" + corpus.CONSECUTIVE_AA + ")", c, TAB))
+        return SynthesisSpec(target, c, b, 1, sem, TAB), forbidden
+    labels = tuple(make_fixture_nets()[case].transitions)
+    behavior = cached_net_automaton(case, c, sem)
+    target = intersect(cached_po_automaton(corpus.TOTAL_ORDER, c, labels), behavior)
+    return SynthesisSpec(target, c, b, 1, sem, labels), poset_complement(behavior)
+
+
+class TestDisjointnessWithoutBuild:
+    """`separate` answers the disjointness question that the built behavior
+    of the synthesized net answers."""
+
+    @pytest.mark.parametrize("sem", ["ex", "cau"])
+    @pytest.mark.parametrize("b", [1, 2])
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("case", ["N0", "N1", "N2", "repair", "contract"])
+    def test_agrees_with_built_disjointness(self, case, c, b, sem):
+        spec, forbidden = separation_case(case, c, b, sem)
+        net = synthesize(spec)
+        out = separate(spec, forbidden)
+        if net is None:
+            assert out is None
+            return
+        # the check `separate` made before its walk, written out
+        clean = intersect(net_automaton(net, c, sem), forbidden).is_empty()
+        assert (out is not None) == clean
+        if clean:
+            assert out.to_text() == net.to_text()
+
+
 class TestCausalSynthesis:
     """Synthesis under the causal semantics: containment always holds; the
     result is exact when single-place causal behaviors can pin the language."""
@@ -228,7 +278,7 @@ class TestSeparate:
             == poset_keys(cached_net_automaton("N1", 1, "ex").po_members_up_to(4))
 
 
-    def test_synthesized_behavior_built_once(self, monkeypatch):
+    def test_synthesized_behavior_never_built(self, monkeypatch):
         built = []
 
         def spy(net, *args):
@@ -236,10 +286,19 @@ class TestSeparate:
             return net_automaton(net, *args)
 
         monkeypatch.setattr(synthesis, "net_automaton", spy)
+        monkeypatch.setattr(synthesis, "intersect", lambda *args: pytest.fail("product built"))
         alt = cached_po_automaton(corpus.ALTERNATING_AB, 1, TAB)
         bad = cached_po_automaton(corpus.CONSECUTIVE_AA, 1, TAB)
         assert separate(SynthesisSpec(alt, 1, 1, 1, "ex", TAB), bad) is not None
-        assert built.count("synthesized") == 1
+        assert synth_from_contract(parse(corpus.ALTERNATING_AB), parse(corpus.CONSECUTIVE_AA),
+                                   TAB, 1, 1, 1, "ex") is not None
+        assert built == []
+
+    def test_forbidden_over_another_alphabet_rejected(self):
+        alt = cached_po_automaton(corpus.ALTERNATING_AB, 1, TAB)
+        with pytest.raises(InputError, match="same"):
+            separate(SynthesisSpec(alt, 1, 1, 1, "ex", TAB),
+                     cached_po_automaton("true", 1, TA))
 
 
 class TestVerify:
