@@ -16,7 +16,7 @@ from . import __version__
 from .automata import (SliceAutomaton, difference, equivalent, includes,
                        intersect, union)
 from .compiler import compile_formula
-from .config import InputError, PreconditionError, ResourceError, RunConfig
+from .config import DEFAULT_CONFIG, InputError, PreconditionError, ResourceError, RunConfig
 from .constructions import check_saturated_upto, poset_complement
 from .mso import is_graph_formula, is_order_formula, parse
 from .netaut import net_automaton
@@ -48,6 +48,9 @@ def main(argv) -> int:
     except ResourceError as err:
         print(f"resource cap exceeded: {err}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("resource cap exceeded: out of memory", file=sys.stderr)
+        return 2
     except (InputError, PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
@@ -65,12 +68,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verification, synthesis and repair of bounded p/t-nets "
                     "over width-bounded partial-order behaviors.")
     parser.add_argument("--version", action="version", version=f"slw {__version__}")
-    parser.add_argument("--max-states", type=int, default=RunConfig().max_states,
+    parser.add_argument("--max-states", type=int, default=DEFAULT_CONFIG.max_states,
                         help="state cap of every automaton construction; also caps "
                              "the pairs and the right-operand keys that each "
                              "inclusion or disjointness walk reads, and the "
                              "candidate places that synthesis probes")
-    parser.add_argument("--max-enum", type=int, default=RunConfig().max_enum_vertices,
+    parser.add_argument("--max-enum", type=int, default=DEFAULT_CONFIG.max_enum_vertices,
                         help="enumeration cap (vertices/events)")
     parser.add_argument("--output", choices=("text", "structured"), default="text")
     parser.add_argument("--emit-proof-log", metavar="PATH",

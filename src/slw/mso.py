@@ -14,10 +14,9 @@ over the finite structure and are meant for desk-scale cross-checking.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
+from .config import DEFAULT_CONFIG, InputError, Record, ResourceError, RunConfig
 from .dag import LabeledDag, LabeledPoset
 
 VERTEX, EDGE, VSET, ESET = "vertex", "edge", "vset", "eset"
@@ -31,82 +30,82 @@ class Var(NamedTuple):
     sort: str
 
 
-@dataclass(frozen=True)
-class Truth:
+class Truth(Record):
+    __slots__ = ("value",)
     value: bool
 
 
-@dataclass(frozen=True)
-class InSet:
+class InSet(Record):
+    __slots__ = ("elem", "coll")
     elem: Var
     coll: Var
 
 
-@dataclass(frozen=True)
-class Less:
+class Less(Record):
+    __slots__ = ("left", "right")
     left: Var
     right: Var
 
 
-@dataclass(frozen=True)
-class HasLabel:
+class HasLabel(Record):
+    __slots__ = ("vertex", "label")
     vertex: Var
     label: str
 
 
-@dataclass(frozen=True)
-class EdgeSource:
+class EdgeSource(Record):
+    __slots__ = ("edge", "vertex")
     edge: Var
     vertex: Var
 
 
-@dataclass(frozen=True)
-class EdgeTarget:
+class EdgeTarget(Record):
+    __slots__ = ("edge", "vertex")
     edge: Var
     vertex: Var
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
+    __slots__ = ("body",)
     body: object
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
+    __slots__ = ("left", "right")
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
+    __slots__ = ("left", "right")
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Record):
+    __slots__ = ("var", "body")
     var: Var
     body: object
 
 
-@dataclass(frozen=True)
-class PathAtom:
+class PathAtom(Record):
     """A path from src to dst whose internal vertices are exactly vset and
     whose edges are exactly eset (length >= 1)."""
+    __slots__ = ("src", "vset", "eset", "dst")
     src: Var
     vset: Var
     eset: Var
     dst: Var
 
 
-@dataclass(frozen=True)
-class Reduced:
+class Reduced(Record):
     """The DAG equals its own transitive reduction."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Coverable:
+class Coverable(Record):
     """The DAG is the union of `count` simple paths."""
+    __slots__ = ("count",)
     count: int
 
 

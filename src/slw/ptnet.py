@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
 from .dag import LabeledDag, LabeledPoset, dedup_posets
@@ -243,8 +242,7 @@ def net_union(n1: PtNet, n2: PtNet) -> PtNet:
 # -- processes --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     place: int                # place instance index
     producer: Optional[int]   # event index, None for initial conditions
     consumer: Optional[int]

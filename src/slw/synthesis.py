@@ -21,7 +21,6 @@ of `safest` and `repair`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 # `includes` is unused here, but the benchmark tracer wraps slw.synthesis.includes by name
@@ -37,17 +36,17 @@ from .ptnet import PtNet, Place, causal_orders, executions
 from .slices import UnitDecomposition, compose, unit_alphabet
 
 
-@dataclass(frozen=True)
 class SynthesisSpec:
     """A target poset language plus the resource bounds of the net to build."""
-    automaton: SliceAutomaton
-    c: int
-    b: int
-    r: int
-    sem: str
-    labels: tuple
 
-    def __post_init__(self):
+    def __init__(self, automaton: SliceAutomaton, c: int, b: int, r: int, sem: str,
+                 labels: tuple):
+        self.automaton = automaton
+        self.c = c
+        self.b = b
+        self.r = r
+        self.sem = sem
+        self.labels = labels
         if self.sem not in ("ex", "cau"):
             raise InputError("sem must be 'ex' or 'cau'")
         if self.b < 1 or self.r < 1 or self.c < 1:
@@ -60,12 +59,13 @@ class SynthesisSpec:
                 "synthesis needs a saturated, transitively reduced specification automaton")
 
 
-@dataclass
 class VerificationReport:
-    disjoint: bool
-    net_subset_of_spec: bool
-    spec_subset_of_net: bool
-    counterexamples: dict = field(default_factory=dict)
+    def __init__(self, disjoint: bool, net_subset_of_spec: bool, spec_subset_of_net: bool,
+                 counterexamples: Optional[dict] = None):
+        self.disjoint = disjoint
+        self.net_subset_of_spec = net_subset_of_spec
+        self.spec_subset_of_net = spec_subset_of_net
+        self.counterexamples = {} if counterexamples is None else counterexamples
 
     def to_text(self) -> str:
         lines = ["slw-report v1", "tool verify",

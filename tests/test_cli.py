@@ -64,6 +64,29 @@ def test_verify_text_lists_labels_in_vertex_order(files, capsys, monkeypatch):
            f"order {sorted(chain.order)}\n" in out
 
 
+def test_out_of_memory_exits_two_without_traceback(files, capsys, monkeypatch):
+    def exhaust(*args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "safest_subsystem", exhaust)
+    write, _ = files
+    net = write("n1.net", N1_TEXT)
+    phi = write("total.mso", corpus.TOTAL_ORDER)
+    assert main(["safest", "--net", net, "--mso", phi, "--b", "1", "--c", "1",
+                 "--sem", "ex"]) == 2
+    assert capsys.readouterr().err == "resource cap exceeded: out of memory\n"
+
+
+def test_import_loads_no_dataclasses(tmp_path):
+    # every command is a fresh process: `dataclasses` and the `inspect` it
+    # imports would cost each one about 28 ms before `main` runs
+    probe = ("import sys; before = set(sys.modules); import slw.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    result = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path,
+                            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def test_verify_structured_output(files, capsys):
     write, _ = files
     net = write("n1.net", N1_TEXT)

@@ -1,13 +1,15 @@
 """Formulas: parsing, evaluation oracles, the order-to-graph rewrite, builtins."""
 
+import copy
+import pickle
 import random
 
 import pytest
 
 from slw.compiler import po_automaton
-from slw.config import InputError
+from slw.config import DEFAULT_CONFIG, InputError, RunConfig
 from slw.dag import LabeledDag, LabeledPoset, all_dags, dedup_posets
-from slw.mso import (Coverable, Exists, Less, Not, PathAtom, Reduced, Var,
+from slw.mso import (And, Coverable, Exists, HasLabel, Less, Not, Or, PathAtom, Reduced, Var,
                      evaluate_dag, evaluate_po, expand_builtins, parse, to_graph_formula,
                      to_text)
 from slw.slices import unit_decompositions
@@ -47,6 +49,69 @@ class TestParser:
         # ALL and -> reduce to the minimal connective set
         ast = parse("ALL x. (l(x,a) -> l(x,a))")
         assert isinstance(ast, Not)
+
+
+class TestRecords:
+    """Formula nodes and RunConfig behave as the frozen dataclasses they replace."""
+
+    X, Y = Var("x", "vertex"), Var("y", "vertex")
+
+    def test_equality_is_class_sensitive(self):
+        a, b = HasLabel(self.X, "a"), Less(self.X, self.Y)
+        assert And(a, b) == And(a, b)
+        assert And(a, b) != Or(a, b)
+        assert Less(self.X, self.Y) != (self.X, self.Y)
+
+    def test_equal_nodes_are_interchangeable_keys(self):
+        one = parse("EX x. l(x,a) & x < y", free={"y": "vertex"})
+        two = parse("EX x. l(x,a) & x < y", free={"y": "vertex"})
+        assert one is not two and hash(one) == hash(two)
+        assert hash(Less(self.X, self.Y)) == hash((self.X, self.Y))
+        assert hash(Reduced()) == hash(())
+        assert {one: "first"}[two] == "first"
+        assert pickle.loads(pickle.dumps(one)) == one
+        assert copy.deepcopy(DEFAULT_CONFIG) == DEFAULT_CONFIG
+
+    def test_fields_cannot_be_assigned(self):
+        node = Less(self.X, self.Y)
+        with pytest.raises(AttributeError):
+            node.left = self.Y
+        with pytest.raises(AttributeError):
+            node.extra = 1
+        with pytest.raises(AttributeError):
+            DEFAULT_CONFIG.max_states = 1
+        assert node.left == self.X
+
+    def test_keyword_match_patterns_bind(self):
+        match Exists(self.X, Not(Coverable(2))):
+            case Exists(var=v, body=Not(body=Coverable(count=k))):
+                assert (v, k) == (self.X, 2)
+            case _:
+                pytest.fail("keyword pattern did not match")
+        match Less(self.X, self.Y):
+            case Less(a, b):
+                assert (a, b) == (self.X, self.Y)
+            case _:
+                pytest.fail("positional pattern did not match")
+
+    def test_repr_keeps_the_dataclass_format(self):
+        phi = parse("EX x. (l(x,a) & !(x < y)) | rho", free={"y": "vertex"})
+        assert repr(phi) == (
+            "Exists(var=Var(name='x', sort='vertex'), body=Or(left=And(left=HasLabel("
+            "vertex=Var(name='x', sort='vertex'), label='a'), right=Not(body=Less("
+            "left=Var(name='x', sort='vertex'), right=Var(name='y', sort='vertex')))), "
+            "right=Reduced()))")
+        assert repr(Coverable(2)) == "Coverable(count=2)"
+
+    def test_run_config_defaults_and_caps(self):
+        assert RunConfig() == DEFAULT_CONFIG
+        assert hash(RunConfig()) == hash(DEFAULT_CONFIG)
+        assert RunConfig(max_states=5) != DEFAULT_CONFIG
+        assert RunConfig(max_states=5).max_enum_vertices == DEFAULT_CONFIG.max_enum_vertices
+        assert repr(DEFAULT_CONFIG) == ("RunConfig(max_states=1000000, max_enum_vertices=6, "
+                                        "max_enum_edges=10, max_words=500000)")
+        with pytest.raises(InputError, match="positive"):
+            RunConfig(max_states=0)
 
 
 class TestEvaluatePo:
