@@ -1,8 +1,9 @@
 """Labeled DAGs and labeled posets: closure, reduction, path covers, isomorphism.
 
-Vertices are arbitrary hashable ids; edges form a multiset (parallel edges are
-representable but rejected by the Hasse-diagram pipeline, which requires simple
-DAGs). All values are immutable after construction.
+Vertices are hashable ids of one sortable type, listed in their natural order;
+edges form a multiset (parallel edges are representable but rejected by the
+Hasse-diagram pipeline, which requires simple DAGs). All values are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ class LabeledDag:
 
     def __init__(self, labels: dict, edges: Iterable[tuple]):
         self.labels = dict(labels)
-        self.edges = tuple(sorted(edges, key=_edge_key))
+        self.edges = tuple(sorted(edges))
         for u, v in self.edges:
             if u not in self.labels or v not in self.labels:
                 raise InputError(f"edge ({u},{v}) mentions an undeclared vertex")
-        self.vertices = tuple(sorted(self.labels, key=repr))
+        self.vertices = tuple(sorted(self.labels))
         self._index = {v: i for i, v in enumerate(self.vertices)}
         self._succ_masks = self._build_succ_masks()
         self._order = self._toposort()
@@ -79,7 +80,7 @@ class LabeledDag:
                 and self.labels == other.labels and self.edges == other.edges)
 
     def __hash__(self):
-        return hash((tuple(sorted(self.labels.items(), key=repr)), self.edges))
+        return hash((tuple(sorted(self.labels.items())), self.edges))
 
     def __repr__(self):
         return f"LabeledDag({self.labels!r}, {list(self.edges)!r})"
@@ -96,7 +97,7 @@ class LabeledDag:
             if not remaining:
                 yield placed
                 return
-            for v in sorted(remaining, key=repr):
+            for v in sorted(remaining):
                 if preds[v] <= set(placed):
                     yield from rec(placed + (v,), remaining - {v})
 
@@ -239,7 +240,7 @@ class LabeledPoset:
     def __init__(self, labels: dict, order: Iterable[tuple], _checked: bool = False):
         self.labels = dict(labels)
         self.order = frozenset(order)
-        self.vertices = tuple(sorted(self.labels, key=repr))
+        self.vertices = tuple(sorted(self.labels))
         if not _checked:
             self._validate()
 
@@ -278,10 +279,10 @@ class LabeledPoset:
                 and self.labels == other.labels and self.order == other.order)
 
     def __hash__(self):
-        return hash((tuple(sorted(self.labels.items(), key=repr)), self.order))
+        return hash((tuple(sorted(self.labels.items())), self.order))
 
     def __repr__(self):
-        return f"LabeledPoset({self.labels!r}, {sorted(self.order, key=_edge_key)!r})"
+        return f"LabeledPoset({self.labels!r}, {sorted(self.order)!r})"
 
     def canonical_key(self):
         return canonical_digraph_key(self.labels, self.order)
@@ -297,11 +298,11 @@ def canonical_digraph_key(labels: dict, edges: Iterable[tuple]):
     force over the surviving color classes (graphs here are desk-scale).
     Two structures have equal keys iff they are isomorphic.
     """
-    verts = sorted(labels, key=repr)
+    verts = sorted(labels)
     n = len(verts)
     idx = {v: i for i, v in enumerate(verts)}
     emult = Counter((idx[u], idx[v]) for u, v in edges)
-    colors = [repr(labels[v]) for v in verts]
+    colors = [labels[v] for v in verts]
     for _ in range(n):
         sig = []
         for i in range(n):
@@ -317,7 +318,7 @@ def canonical_digraph_key(labels: dict, edges: Iterable[tuple]):
     classes = defaultdict(list)
     for i in range(n):
         classes[colors[i]].append(i)
-    groups = [classes[c] for c in sorted(classes, key=repr)]
+    groups = [classes[c] for c in sorted(classes)]
 
     best = None
     for combo in itertools.product(*[itertools.permutations(g) for g in groups]):
@@ -326,7 +327,7 @@ def canonical_digraph_key(labels: dict, edges: Iterable[tuple]):
         for p, i in enumerate(perm):
             pos[i] = p
         key = (
-            tuple(repr(labels[verts[i]]) for i in perm),
+            tuple(labels[verts[i]] for i in perm),
             tuple(sorted(((pos[a], pos[b]), m) for (a, b), m in emult.items())),
         )
         if best is None or key < best:
@@ -360,7 +361,3 @@ def all_dags(n: int, labels: Sequence, max_edges: int | None = None) -> Iterator
             continue
         for labeling in itertools.product(labels, repeat=n):
             yield LabeledDag({i: labeling[i] for i in range(n)}, edges)
-
-
-def _edge_key(e):
-    return (repr(e[0]), repr(e[1]))

@@ -2,9 +2,9 @@
 
 The token game is played on the universal automaton: a state pairs a state of
 universal_automaton(c, T), which admits exactly the unit decompositions of
-Hasse diagrams coverable by c paths, with a multiset of token classes. A token
-class records its place instance and two sets of open channels (the ports of
-the current frontier), each held as a sorted tuple:
+Hasse diagrams coverable by c paths, with one run per place: its token multiset
+as sorted (class, count) pairs. A token class (initial, succ, flow) holds two
+sets of open channels (the ports of the current frontier) as sorted tuples:
 
   succ: channels whose source vertex is causally at-or-after the producing
         event; consuming the token at a center is legal iff some channel
@@ -15,10 +15,11 @@ the current frontier), each held as a sorted tuple:
         realized by a condition).
 
 Only that causal check reads a flow set, so flow sets are kept under `cau`
-alone: under `ex` every class carries an empty one, and states that differed
-only in flow sets (and so had the same futures) are one state. Sorted tuples
-compare totally, where frozensets compare only by inclusion, so a state's
-sorted multiset is canonical: equal multisets always make one state.
+alone. Under `ex` every class carries an empty one, places do not interact,
+and a firing is the product of each place's next runs. Under `cau` the consumed
+flows of all places decide the produced class. The product of the places'
+choice counts is capped by `--max-states`. Sorted tuples compare totally, so
+each run is canonical: equal markings always make one state.
 
 Initial-marking tokens have no producing event: they carry empty sets, impose
 no order constraint on consumers, and realize no edge. A state is final when
@@ -30,9 +31,10 @@ the chosen semantics.
 from __future__ import annotations
 
 import itertools
+import math
 
 from .automata import SliceAutomaton, explore
-from .config import DEFAULT_CONFIG, InputError, RunConfig
+from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
 from .constructions import universal_automaton
 from .ptnet import PtNet
 
@@ -78,81 +80,75 @@ def token_game(net: PtNet, c: int, sem: str, config: RunConfig = DEFAULT_CONFIG)
              for t in net.transitions}
 
     def step(state, letter):
-        q, tokens = state
+        q, runs = state
         targets = succ[q].get(letter)
         if targets:
-            for new_tokens in _firings(tokens, letter, *moves[letter.label], net.bound, causal):
+            for new_runs in _firings(runs, letter, *moves[letter.label], net.bound, causal,
+                                     config.max_states):
                 for q2 in targets:
-                    yield q2, new_tokens
+                    yield q2, new_runs
 
-    init_tokens = tuple(sorted(
-        ((i, True, (), ()), p.tokens)
-        for i, p in enumerate(net.places) if p.tokens > 0))
-    return (0, init_tokens), step, lambda state: state[0] in univ.finals, univ
+    init_runs = tuple((((True, (), ()), p.tokens),) if p.tokens > 0 else ()
+                      for p in net.places)
+    return (0, init_runs), step, lambda state: state[0] in univ.finals, univ
 
 
-def _firings(tokens: tuple, letter, take: tuple, put: tuple, bound: int, causal: bool):
-    """All legal token consumptions/productions for firing a letter whose
-    label takes take[i] and puts put[i] tokens on place i."""
+def _firings(runs: tuple, letter, take: tuple, put: tuple, bound: int, causal: bool, cap: int):
+    """The next runs of every legal firing of a letter whose label takes take[i]
+    and puts put[i] tokens on place i."""
     closing, port_map, born = frozenset(letter.closing_ports), letter.bypass_map, letter.born_ports
-    n = len(take)
-    by_place: list[list] = [[] for _ in range(n)]
-    counts = [0] * n
-    for cls, cnt in tokens:
-        by_place[cls[0]].append((cls, cnt))
-        counts[cls[0]] += cnt
-    if any(counts[i] < take[i] for i in range(n)):
-        return
-    if any(counts[i] - take[i] + put[i] > bound for i in range(n)):
-        return
-
     per_place = []
-    for i in range(n):
+    for run, k, p in zip(runs, take, put):
+        if not k <= sum(cnt for _, cnt in run) <= bound + k - p:
+            return
         # a produced token is consumable only where its producer precedes the center
-        choices = [combo for combo in _multiset_choices(by_place[i], take[i])
+        choices = [combo for combo in _multiset_choices(run, k)
                    if all(initial or not closing.isdisjoint(succ)
-                          for (_, initial, succ, _), _ in combo)]
+                          for (initial, succ, _), _ in combo)]
         if not choices:
             return
         per_place.append(choices)
+    if math.prod(map(len, per_place)) > cap:
+        raise ResourceError("state cap exceeded in token game", context=f"max_states={cap}")
+    advanced: dict = {}  # a surviving class advances alike under every choice
 
-    advanced: dict = {}  # a surviving class advances alike under every assignment
-    for assignment in itertools.product(*per_place):
-        consumed: dict = {}
-        for combo in assignment:
-            for cls, k in combo:
-                consumed[cls] = consumed.get(cls, 0) + k
-        if causal:
-            flows = [cls[3] for cls in consumed]
-            if any(not any(p in f for f in flows) for p in closing):
-                continue  # some closed covering edge has no realizing condition
-            new_flow = tuple(sorted(set(born).union(
-                port_map[p] for f in flows for p in f if p in port_map)))
-        else:
-            new_flow = ()  # nothing reads flow sets under `ex`
-        counter: dict = {}
-        for cls, cnt in tokens:
-            left = cnt - consumed.get(cls, 0)
-            if left > 0:
+    def next_run(run, combo, k, new):
+        """The run left after consuming combo, advanced, plus k tokens of class new."""
+        consumed, left = dict(combo), {}
+        for cls, cnt in run:
+            cnt -= consumed.get(cls, 0)
+            if cnt > 0:
                 adv = advanced.get(cls)
                 if adv is None:
                     adv = advanced[cls] = _advance(cls, port_map, closing, born)
-                counter[adv] = counter.get(adv, 0) + left
-        for i in range(n):
-            if put[i] > 0:
-                cls = (i, False, born, new_flow)
-                counter[cls] = counter.get(cls, 0) + put[i]
-        yield tuple(sorted(counter.items()))  # classes compare totally: canonical order
+                left[adv] = left.get(adv, 0) + cnt
+        if k:
+            left[new] = left.get(new, 0) + k
+        return tuple(sorted(left.items()))  # classes compare totally: canonical order
+
+    if not causal:  # nothing reads flow sets: each place's next run is its own
+        produced = (False, born, ())
+        yield from itertools.product(*([next_run(run, combo, p, produced) for combo in choices]
+                                       for run, choices, p in zip(runs, per_place, put)))
+        return
+    for assignment in itertools.product(*per_place):
+        flows = [cls[2] for combo in assignment for cls, _ in combo]
+        if any(not any(q in f for f in flows) for q in closing):
+            continue  # some closed covering edge has no realizing condition
+        produced = (False, born, tuple(sorted(set(born).union(
+            port_map[q] for f in flows for q in f if q in port_map))))
+        yield tuple(next_run(run, combo, p, produced)
+                    for run, combo, p in zip(runs, assignment, put))
 
 
 def _advance(cls, port_map: dict, closing: frozenset, born: tuple):
     """Reindex a surviving token class across the frontier step."""
-    place, initial, succ, flow = cls
+    initial, succ, flow = cls
     succ2 = {port_map[p] for p in succ if p in port_map}
     if not closing.isdisjoint(succ):
         succ2.update(born)
     flow2 = sorted(port_map[p] for p in flow if p in port_map)
-    return (place, initial, tuple(sorted(succ2)), tuple(flow2))
+    return (initial, tuple(sorted(succ2)), tuple(flow2))
 
 
 def _multiset_choices(classes: list, need: int):

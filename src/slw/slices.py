@@ -124,8 +124,7 @@ class Slice:
         return self.sort_key() < other.sort_key()
 
     def sort_key(self):
-        return (self.n_in, self.n_out, tuple(map(repr, self.center_labels)),
-                tuple((s, d) for s, d in self.edges))
+        return (self.n_in, self.n_out, self.center_labels, self.edges)
 
     def __repr__(self):
         return to_literal(self) if self.is_unit() else (

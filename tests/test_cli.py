@@ -213,6 +213,32 @@ def test_three_label_synthesis_fits_a_small_cap(files, capsys):
     assert sum(ln.startswith("place") for ln in out.splitlines()) == 36
 
 
+def test_firing_product_is_capped(files, capsys):
+    # after one t, the next t may take either token of each of the six places:
+    # 2^6 assignments against a cap of 40, while the game has seen two states
+    write, _ = files
+    net = write("f.net", "net F bound=2\ntransitions t\n"
+                         "place init=2 take(t)=1 put(t)=1 mult=6\n")
+    assert main(["--max-states", "40", "net-automaton", "--net", net, "--c", "1",
+                 "--sem", "ex"]) == 2
+    assert "token game" in capsys.readouterr().err
+
+
+def test_causal_repair_hits_the_firing_cap(files, capsys):
+    # 306 places are feasible; one causal firing of their net has 2^36
+    # assignments, so the containment walk is refused instead of exhausting memory
+    write, _ = files
+    net = write("n3.net", make_fixture_nets()["N3"].to_text())
+    keep = write("keep.mso", corpus.ALTERNATING_AB)
+    allow = write("allow.mso", f"!({corpus.CONSECUTIVE_AA})")
+    start = time.perf_counter()
+    code = main(["repair", "--net", net, "--keep", keep, "--allow", allow,
+                 "--b", "2", "--c", "1", "--sem", "cau"])
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert "state cap exceeded in token game" in capsys.readouterr().err
+
+
 def test_graph_formula_where_order_expected(files, capsys):
     write, _ = files
     net = write("n1.net", N1_TEXT)

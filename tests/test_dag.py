@@ -141,6 +141,11 @@ class TestSerialization:
         h = LabeledDag({"a": "x", "b": "y"}, [("a", "b")])
         assert LabeledDag.from_text(h.to_text()) == h
 
+    def test_vertices_in_numeric_order(self):
+        lines = chain("t" * 11).to_text().splitlines()
+        assert lines[:11] == [f"vertex {v} t" for v in range(11)]
+        assert lines[11:] == [f"edge {v} {v + 1}" for v in range(10)]
+
     def test_bad_line(self):
         with pytest.raises(InputError):
             LabeledDag.from_text("vertex a\n")

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from slw.automata import equivalent, explore
-from slw.config import InputError
+from slw.config import InputError, ResourceError, RunConfig
 from slw.constructions import check_saturated_upto, universal_automaton
 from slw.dag import LabeledPoset
 from slw.netaut import _multiset_choices, net_automaton, token_game
@@ -25,14 +25,21 @@ class TestOracleAgreement:
             == poset_keys(oracle(nets[name], 4, c)), (name, sem, c)
 
 
+WEIGHTED = {
+    "W": PtNet(("t",), [Place(2, puts={"t": 2}, takes={"t": 2})], bound=2, name="W"),
+    "V": PtNet(("s", "u"), [Place(1, takes={"s": 1}),
+                            Place(0, puts={"s": 2}, takes={"u": 1}),
+                            Place(0, puts={"u": 1})], bound=2, name="V"),
+}
+
+
 class TestWeightedArcs:
     """Nets whose transitions move more than one token per place."""
 
     @pytest.mark.parametrize("sem", ["ex", "cau"])
     @pytest.mark.parametrize("c", [1, 2])
     def test_double_weight_self_loop(self, sem, c):
-        net = PtNet(("t",), [Place(2, puts={"t": 2}, takes={"t": 2})],
-                    bound=2, name="W")
+        net = WEIGHTED["W"]
         oracle = executions if sem == "ex" else causal_orders
         aut = net_automaton(net, c, sem)
         assert poset_keys(aut.po_members_up_to(4)) == poset_keys(oracle(net, 4, c))
@@ -40,9 +47,7 @@ class TestWeightedArcs:
     @pytest.mark.parametrize("sem", ["ex", "cau"])
     @pytest.mark.parametrize("c", [1, 2])
     def test_fork_by_weighted_production(self, sem, c):
-        net = PtNet(("s", "u"), [Place(1, takes={"s": 1}),
-                                 Place(0, puts={"s": 2}, takes={"u": 1}),
-                                 Place(0, puts={"u": 1})], bound=2, name="V")
+        net = WEIGHTED["V"]
         oracle = executions if sem == "ex" else causal_orders
         aut = net_automaton(net, c, sem)
         assert poset_keys(aut.po_members_up_to(4)) == poset_keys(oracle(net, 4, c))
@@ -214,7 +219,116 @@ class TestCanonicalMultisets:
                         for nxt in step(state, letter)]
             frontier = [s for s in dict.fromkeys(frontier) if s not in seen]
             seen.update(frontier)
-        assert len(seen) == len({(q, frozenset(tokens)) for q, tokens in seen})
+        assert len(seen) == len({(q, tuple(frozenset(run) for run in runs))
+                                 for q, runs in seen})
+
+
+def _flat_net_automaton(net, c, sem):
+    """The token game on one flat multiset of (place, initial, succ, flow)
+    classes, re-sorted whole on every firing, as played before each place kept
+    its own run: the reference for the per-place game's bytes."""
+    univ = universal_automaton(c, tuple(net.transitions))
+    succ = univ.successors()
+    causal = sem == "cau"
+    moves = {t: (tuple(p.take(t) for p in net.places), tuple(p.put(t) for p in net.places))
+             for t in net.transitions}
+
+    def expand(state):
+        q, tokens = state
+        for letter, targets in succ[q].items():
+            for new_tokens in _flat_firings(tokens, letter, *moves[letter.label],
+                                            net.bound, causal):
+                for q2 in targets:
+                    yield letter, (q2, new_tokens)
+
+    init_tokens = tuple(sorted(
+        ((i, True, (), ()), p.tokens)
+        for i, p in enumerate(net.places) if p.tokens > 0))
+    return explore((0, init_tokens), expand, lambda state: state[0] in univ.finals,
+                   c, univ.labels, univ.alphabet, name="flat token game",
+                   saturated=True, transitively_reduced=True).trim()
+
+
+def _flat_firings(tokens, letter, take, put, bound, causal):
+    closing, port_map, born = frozenset(letter.closing_ports), letter.bypass_map, letter.born_ports
+    n = len(take)
+    by_place = [[] for _ in range(n)]
+    counts = [0] * n
+    for cls, cnt in tokens:
+        by_place[cls[0]].append((cls, cnt))
+        counts[cls[0]] += cnt
+    if any(counts[i] < take[i] for i in range(n)):
+        return
+    if any(counts[i] - take[i] + put[i] > bound for i in range(n)):
+        return
+    per_place = []
+    for i in range(n):
+        choices = [combo for combo in _multiset_choices(by_place[i], take[i])
+                   if all(initial or not closing.isdisjoint(succ)
+                          for (_, initial, succ, _), _ in combo)]
+        if not choices:
+            return
+        per_place.append(choices)
+    for assignment in itertools.product(*per_place):
+        consumed = {}
+        for combo in assignment:
+            for cls, k in combo:
+                consumed[cls] = consumed.get(cls, 0) + k
+        if causal:
+            flows = [cls[3] for cls in consumed]
+            if any(not any(p in f for f in flows) for p in closing):
+                continue
+            new_flow = tuple(sorted(set(born).union(
+                port_map[p] for f in flows for p in f if p in port_map)))
+        else:
+            new_flow = ()
+        counter = {}
+        for cls, cnt in tokens:
+            left = cnt - consumed.get(cls, 0)
+            if left > 0:
+                adv = _flat_advance(cls, port_map, closing, born)
+                counter[adv] = counter.get(adv, 0) + left
+        for i in range(n):
+            if put[i] > 0:
+                cls = (i, False, born, new_flow)
+                counter[cls] = counter.get(cls, 0) + put[i]
+        yield tuple(sorted(counter.items()))
+
+
+def _flat_advance(cls, port_map, closing, born):
+    place, initial, succ, flow = cls
+    succ2 = {port_map[p] for p in succ if p in port_map}
+    if not closing.isdisjoint(succ):
+        succ2.update(born)
+    flow2 = sorted(port_map[p] for p in flow if p in port_map)
+    return (place, initial, tuple(sorted(succ2)), tuple(flow2))
+
+
+class TestPerPlaceRuns:
+    """One run per place makes the same game as one flat multiset."""
+
+    @pytest.mark.parametrize("sem", ["ex", "cau"])
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["N0", "N1", "N2", "N3", "N4", "N5", "W", "V"])
+    def test_same_text_as_the_flat_game(self, nets, name, c, sem):
+        net = WEIGHTED[name] if name in WEIGHTED else nets[name]
+        assert net_automaton(net, c, sem).to_text() \
+            == _flat_net_automaton(net, c, sem).to_text()
+
+    def test_firing_product_is_capped(self):
+        # t takes one of each place's two tokens: after one t, the next t has
+        # 2^6 = 64 assignments, and the firing is refused before any is built
+        net = PtNet(("t",), [Place(2, puts={"t": 1}, takes={"t": 1})] * 6,
+                    bound=2, name="F")
+        start, step, _, univ = token_game(net, 1, "ex", RunConfig(max_states=63))
+        succ = univ.successors()
+        seen, frontier = {start}, [start]
+        with pytest.raises(ResourceError, match="state cap exceeded in token game"):
+            while frontier:
+                frontier = [nxt for state in frontier for letter in succ[state[0]]
+                            for nxt in step(state, letter) if nxt not in seen]
+                seen.update(frontier)
+        assert len(seen) < 10
 
 
 def _chain_order(poset):

@@ -1,5 +1,7 @@
 """Feasible places, synthesis, separation, and the five procedures."""
 
+import hashlib
+
 import pytest
 
 from slw import netaut, synthesis
@@ -385,6 +387,14 @@ class TestTopLevel:
         # oracle re-validation of both separation conditions
         assert anti not in poset_keys(executions(out, 2, 2))
         assert poset_keys(executions(out, 4, 2)) <= poset_keys(executions(nets["N0"], 4, 2))
+
+    def test_safest_fork_net_keeps_every_feasible_place(self, nets):
+        # the disjointness walk plays the 77-place net's game under `ex`; the
+        # net is pinned by the SHA-256 of its text
+        out = safest_subsystem(nets["N3"], parse(corpus.TOTAL_ORDER), 2, 1, 1, "ex")
+        assert len(out.places) == 77
+        assert hashlib.sha256(out.to_text().encode()).hexdigest() \
+            == "d33334a316668488eb818d112d2f0f0d0697562ce9743bc5a1e67e73e97f0f28"
 
     def test_repair_with_tautology_allowance(self, nets):
         out = repair(nets["N1"], parse(corpus.ALTERNATING_AB), Truth(True), 1, 1, 1, "ex")
