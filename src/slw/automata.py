@@ -420,7 +420,8 @@ def explore(start, expand, is_final, c: int, labels: Sequence, alphabet: Sequenc
 
 
 def _require_same_alphabet(a: SliceAutomaton, b: SliceAutomaton):
-    if a.c != b.c or a.labels != b.labels or a.alphabet != b.alphabet:
+    # equal letter tuples imply equal label sets, in whatever order they were given
+    if a.c != b.c or a.alphabet != b.alphabet:
         raise InputError("operands must share the same (c, T) slice alphabet")
 
 

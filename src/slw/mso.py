@@ -7,6 +7,12 @@ biconditional and equality are parser macros over the minimal connective set;
 `rho` (transitively reduced), `gamma(c)` (coverable by c paths) and
 `path(x1,X,Y,x2)` are builtin atoms with equivalent pure encodings.
 
+Each atom is declared once, in `SIGNATURES`: the sorts its variables may
+take, whether it speaks about edges, and its name in the concrete syntax.
+The queries, `check_sorts` (which also rejects a binder of none of the four
+sorts), the parser and the printer read it. Labels are a set: a repeated
+label is an input error, and label order changes no alphabet.
+
 The evaluators are deliberate brute-force oracles: they expand quantifiers
 over the finite structure and are meant for desk-scale cross-checking.
 """
@@ -14,13 +20,16 @@ over the finite structure and are meant for desk-scale cross-checking.
 from __future__ import annotations
 
 import re
+from functools import reduce
 from typing import Iterator, NamedTuple, Optional
 
 from .config import DEFAULT_CONFIG, InputError, Record, ResourceError, RunConfig
 from .dag import LabeledDag, LabeledPoset
 
 VERTEX, EDGE, VSET, ESET = "vertex", "edge", "vset", "eset"
+SORTS = (VERTEX, EDGE, VSET, ESET)
 _FIRST_ORDER = (VERTEX, EDGE)
+_ORDER_SORTS = (VERTEX, VSET)
 
 
 class Var(NamedTuple):
@@ -111,6 +120,34 @@ class Coverable(Record):
 
 Formula = object
 
+
+class Signature(Record):
+    """An atom's declaration. Its variables are its first fields, as many as
+    each tuple in `sorts` holds."""
+    __slots__ = ("sorts", "graph", "call", "error")
+    sorts: tuple          # the sort tuples its variables may take, in field order
+    graph: bool           # speaks about edges: no order formula holds it
+    call: Optional[str]   # its name when written name(var,...,var)
+    error: str            # check_sorts' message; {0}, {1} name its variables
+
+
+_ST_ERROR = "s/t atoms need (edge, vertex) arguments: {0}, {1}"
+
+SIGNATURES = {
+    Truth: Signature(((),), False, None, ""),
+    InSet: Signature(((VERTEX, VSET), (EDGE, ESET)), False, None,
+                     "ill-sorted membership: {0} in {1}"),
+    Less: Signature(((VERTEX, VERTEX),), False, None,
+                    "order atom needs vertex variables: {0} < {1}"),
+    HasLabel: Signature(((VERTEX,),), False, None, "label atom needs a vertex variable: {0}"),
+    EdgeSource: Signature(((EDGE, VERTEX),), True, "s", _ST_ERROR),
+    EdgeTarget: Signature(((EDGE, VERTEX),), True, "t", _ST_ERROR),
+    PathAtom: Signature(((VERTEX, VSET, ESET, VERTEX),), True, "path",
+                        "path atom needs (vertex, vertex-set, edge-set, vertex)"),
+    Reduced: Signature(((),), True, None, ""),
+    Coverable: Signature(((),), True, None, ""),
+}
+
 # -- convenience constructors (macros share these) ---------------------------------
 
 
@@ -128,22 +165,12 @@ def iff(a, b) -> Formula:
 
 def conj(parts) -> Formula:
     parts = list(parts)
-    if not parts:
-        return Truth(True)
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return reduce(And, parts) if parts else Truth(True)
 
 
 def disj(parts) -> Formula:
     parts = list(parts)
-    if not parts:
-        return Truth(False)
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return reduce(Or, parts) if parts else Truth(False)
 
 
 def equal(a: Var, b: Var) -> Formula:
@@ -154,99 +181,88 @@ def equal(a: Var, b: Var) -> Formula:
     return forall(z, iff(InSet(a, z), InSet(b, z)))
 
 
-# -- structural queries -----------------------------------------------------------
+# -- traversal and structural queries ----------------------------------------------
 
 
-def free_vars(phi) -> frozenset:
-    match phi:
-        case Truth() | Reduced() | Coverable():
-            return frozenset()
-        case InSet(elem=e, coll=c):
-            return frozenset([e, c])
-        case Less(left=a, right=b):
-            return frozenset([a, b])
-        case HasLabel(vertex=v):
-            return frozenset([v])
-        case EdgeSource(edge=y, vertex=x) | EdgeTarget(edge=y, vertex=x):
-            return frozenset([y, x])
-        case PathAtom(src=a, vset=x, eset=y, dst=b):
-            return frozenset([a, x, y, b])
-        case Not(body=b):
-            return free_vars(b)
-        case And(left=a, right=b) | Or(left=a, right=b):
-            return free_vars(a) | free_vars(b)
-        case Exists(var=v, body=b):
-            return free_vars(b) - {v}
+_VARIABLE_FIELDS = {cls: cls.__match_args__[:len(sig.sorts[0])]
+                    for cls, sig in SIGNATURES.items()}
+
+
+def _variables(atom) -> list:
+    """An atom's variables, in field order: its first fields, one per sort."""
+    return [getattr(atom, f) for f in _VARIABLE_FIELDS[atom.__class__]]
+
+
+def _children(phi) -> tuple:
+    """phi's immediate subformulas; InputError if phi is no formula node."""
+    cls = phi.__class__
+    if cls is And or cls is Or:
+        return (phi.left, phi.right)
+    if cls is Not or cls is Exists:
+        return (phi.body,)
+    if cls in SIGNATURES:
+        return ()
     raise InputError(f"not a formula node: {phi!r}")
 
 
-def is_order_formula(phi) -> bool:
-    """No edge-sorted variables and no graph atoms anywhere."""
+def _nodes(phi, out: Optional[list] = None) -> list:
+    """phi's nodes in depth-first order, left to right, appended to `out`."""
+    out = [] if out is None else out
+    out.append(phi)
+    for child in _children(phi):
+        _nodes(child, out)
+    return out
+
+
+def _map_atoms(phi, rule) -> Formula:
+    """phi with each atom replaced by rule(atom)."""
     match phi:
-        case Truth():
-            return True
-        case InSet(elem=e, coll=c):
-            return e.sort == VERTEX and c.sort == VSET
-        case Less():
-            return True
-        case HasLabel():
-            return True
-        case EdgeSource() | EdgeTarget() | PathAtom() | Reduced() | Coverable():
-            return False
         case Not(body=b):
-            return is_order_formula(b)
-        case And(left=a, right=b) | Or(left=a, right=b):
-            return is_order_formula(a) and is_order_formula(b)
+            return Not(_map_atoms(b, rule))
+        case And(left=a, right=b):
+            return And(_map_atoms(a, rule), _map_atoms(b, rule))
+        case Or(left=a, right=b):
+            return Or(_map_atoms(a, rule), _map_atoms(b, rule))
         case Exists(var=v, body=b):
-            return v.sort in (VERTEX, VSET) and is_order_formula(b)
-    return False
+            return Exists(v, _map_atoms(b, rule))
+    return rule(phi)
+
+
+def free_vars(phi) -> frozenset:
+    if phi.__class__ is Exists:
+        return free_vars(phi.body) - {phi.var}
+    if phi.__class__ in SIGNATURES:
+        return frozenset(_variables(phi))
+    return frozenset.union(*map(free_vars, _children(phi)))
+
+
+def is_order_formula(phi) -> bool:
+    """No graph atom anywhere, and no variable of an edge (or unknown) sort."""
+    for node in _nodes(phi):
+        sig = SIGNATURES.get(node.__class__)
+        variables = (node.var,) if node.__class__ is Exists else _variables(node) if sig else ()
+        if (sig and sig.graph) or any(v.sort not in _ORDER_SORTS for v in variables):
+            return False
+    return True
 
 
 def is_graph_formula(phi) -> bool:
     """No order atom x < y anywhere."""
-    match phi:
-        case Less():
-            return False
-        case Not(body=b):
-            return is_graph_formula(b)
-        case And(left=a, right=b) | Or(left=a, right=b):
-            return is_graph_formula(a) and is_graph_formula(b)
-        case Exists(body=b):
-            return is_graph_formula(b)
-        case _:
-            return True
+    return Less not in map(type, _nodes(phi))
 
 
 def check_sorts(phi):
-    """Raise InputError on ill-sorted atoms."""
-    match phi:
-        case Truth() | Reduced() | Coverable():
-            return
-        case InSet(elem=e, coll=c):
-            ok = (e.sort == VERTEX and c.sort == VSET) or (e.sort == EDGE and c.sort == ESET)
-            if not ok:
-                raise InputError(f"ill-sorted membership: {e.name} in {c.name}")
-        case Less(left=a, right=b):
-            if a.sort != VERTEX or b.sort != VERTEX:
-                raise InputError(f"order atom needs vertex variables: {a.name} < {b.name}")
-        case HasLabel(vertex=v):
-            if v.sort != VERTEX:
-                raise InputError(f"label atom needs a vertex variable: {v.name}")
-        case EdgeSource(edge=y, vertex=x) | EdgeTarget(edge=y, vertex=x):
-            if y.sort != EDGE or x.sort != VERTEX:
-                raise InputError(f"s/t atoms need (edge, vertex) arguments: {y.name}, {x.name}")
-        case PathAtom(src=a, vset=x, eset=y, dst=b):
-            if (a.sort, x.sort, y.sort, b.sort) != (VERTEX, VSET, ESET, VERTEX):
-                raise InputError("path atom needs (vertex, vertex-set, edge-set, vertex)")
-        case Not(body=b):
-            check_sorts(b)
-        case And(left=a, right=b) | Or(left=a, right=b):
-            check_sorts(a)
-            check_sorts(b)
-        case Exists(body=b):
-            check_sorts(b)
-        case _:
-            raise InputError(f"not a formula node: {phi!r}")
+    """Raise InputError on an atom whose variables' sorts its signature does
+    not allow, and on a binder of none of the four sorts."""
+    for node in _nodes(phi):
+        if node.__class__ is Exists:
+            if node.var.sort not in SORTS:
+                raise InputError(f"bound variable {node.var.name} has unknown sort "
+                                 f"{node.var.sort!r}")
+        elif (sig := SIGNATURES.get(node.__class__)) is not None:
+            variables = _variables(node)
+            if tuple([v.sort for v in variables]) not in sig.sorts:
+                raise InputError(sig.error.format(*[v.name for v in variables]))
 
 
 # -- the order-to-graph rewrite -----------------------------------------------------
@@ -255,20 +271,13 @@ def to_graph_formula(phi) -> Formula:
     """Rewrite an order formula for evaluation on Hasse diagrams: each atom
     x < y becomes 'there is a path from x to y'. The path's sets are always
     named PV and PE: sets, so they never capture the vertices x and y."""
-    match phi:
-        case Less(left=a, right=b):
-            xv, yv = Var("PV", VSET), Var("PE", ESET)
-            return Exists(xv, Exists(yv, PathAtom(a, xv, yv, b)))
-        case Not(body=b):
-            return Not(to_graph_formula(b))
-        case And(left=a, right=b):
-            return And(to_graph_formula(a), to_graph_formula(b))
-        case Or(left=a, right=b):
-            return Or(to_graph_formula(a), to_graph_formula(b))
-        case Exists(var=v, body=b):
-            return Exists(v, to_graph_formula(b))
-        case _:
-            return phi
+    def rule(atom):
+        match atom:
+            case Less(left=a, right=b):
+                xv, yv = Var("PV", VSET), Var("PE", ESET)
+                return Exists(xv, Exists(yv, PathAtom(a, xv, yv, b)))
+        return atom
+    return _map_atoms(phi, rule)
 
 
 # -- builtins: pure second-order encodings ------------------------------------------
@@ -340,50 +349,27 @@ def coverable_formula(count: int) -> Formula:
 
     xsets = [Var(f"GX{i}", VSET) for i in range(1, count + 1)]
     ysets = [Var(f"GYS{i}", ESET) for i in range(1, count + 1)]
-    body = conj(
+    out = conj(
         [path_shape(xs, ys) for xs, ys in zip(xsets, ysets)]
         + [forall(v, disj([InSet(v, xs) for xs in xsets])),
            forall(y, disj([InSet(y, ys) for ys in ysets]))])
-    out = body
     for var in reversed(xsets + ysets):
         out = Exists(var, out)
     return out
 
 
-def builtin(name: str, c: Optional[int] = None) -> Formula:
-    """The builtin atoms by name; `expand_builtins` gives their pure encodings
-    and the construction modules provide their primitive automata."""
-    if name == "rho":
-        return Reduced()
-    if name == "gamma":
-        if c is None or c < 1:
-            raise InputError("gamma needs a path budget c >= 1")
-        return Coverable(c)
-    if name == "path":
-        return PathAtom(Var("x1", VERTEX), Var("X", VSET), Var("Y", ESET),
-                        Var("x2", VERTEX))
-    raise InputError(f"unknown builtin {name!r}")
-
-
 def expand_builtins(phi) -> Formula:
     """Replace every builtin atom by its pure second-order encoding."""
-    match phi:
-        case PathAtom(src=a, vset=x, eset=y, dst=b):
-            return path_formula(a, x, y, b)
-        case Reduced():
-            return reduced_formula()
-        case Coverable(count=c):
-            return coverable_formula(c)
-        case Not(body=b):
-            return Not(expand_builtins(b))
-        case And(left=a, right=b):
-            return And(expand_builtins(a), expand_builtins(b))
-        case Or(left=a, right=b):
-            return Or(expand_builtins(a), expand_builtins(b))
-        case Exists(var=v, body=b):
-            return Exists(v, expand_builtins(b))
-        case _:
-            return phi
+    def rule(atom):
+        match atom:
+            case PathAtom(src=a, vset=x, eset=y, dst=b):
+                return path_formula(a, x, y, b)
+            case Reduced():
+                return reduced_formula()
+            case Coverable(count=c):
+                return coverable_formula(c)
+        return atom
+    return _map_atoms(phi, rule)
 
 
 # -- evaluation oracles ---------------------------------------------------------------
@@ -398,7 +384,7 @@ def evaluate_po(poset: LabeledPoset, phi, env: Optional[dict] = None,
     if poset.n_vertices() > config.max_enum_vertices:
         raise ResourceError("poset too large for quantifier expansion",
                             context=f"max_enum_vertices={config.max_enum_vertices}")
-    return _eval(phi, _bind(phi, env), _PoStructure(poset))
+    return _eval(phi, _bind(phi, env), poset)
 
 
 def evaluate_dag(dag: LabeledDag, phi, env: Optional[dict] = None,
@@ -410,36 +396,7 @@ def evaluate_dag(dag: LabeledDag, phi, env: Optional[dict] = None,
     if dag.n_vertices() > config.max_enum_vertices or len(dag.edges) > config.max_enum_edges:
         raise ResourceError("DAG too large for quantifier expansion",
                             context=f"caps {config.max_enum_vertices}/{config.max_enum_edges}")
-    return _eval(phi, _bind(phi, env), _DagStructure(dag))
-
-
-class _PoStructure:
-    def __init__(self, poset: LabeledPoset):
-        self.poset = poset
-        self.vertices = poset.vertices
-        self.edge_ids = ()
-
-    def less(self, a, b):
-        return self.poset.less(a, b)
-
-    def label(self, v):
-        return self.poset.labels[v]
-
-
-class _DagStructure:
-    def __init__(self, dag: LabeledDag):
-        self.dag = dag
-        self.vertices = dag.vertices
-        self.edge_ids = tuple(range(len(dag.edges)))
-
-    def label(self, v):
-        return self.dag.labels[v]
-
-    def source(self, e):
-        return self.dag.edges[e][0]
-
-    def target(self, e):
-        return self.dag.edges[e][1]
+    return _eval(phi, _bind(phi, env), dag)
 
 
 _MISSING = object()
@@ -457,41 +414,37 @@ def _subsets(items) -> Iterator[frozenset]:
 
 
 def _eval(phi, env: dict, st) -> bool:
+    """phi's truth on st, a LabeledPoset or a LabeledDag: evaluate_po admits
+    only order formulas, which read no edges, and evaluate_dag only graph
+    formulas, which read no order."""
     match phi:
-        case Truth(value=v):
-            return v
-        case InSet(elem=e, coll=c):
-            return env[e] in env[c]
-        case Less(left=a, right=b):
-            return st.less(env[a], env[b])
-        case HasLabel(vertex=v, label=lab):
-            return st.label(env[v]) == lab
-        case EdgeSource(edge=y, vertex=x):
-            return st.source(env[y]) == env[x]
-        case EdgeTarget(edge=y, vertex=x):
-            return st.target(env[y]) == env[x]
         case Not(body=b):
             return not _eval(b, env, st)
         case And(left=a, right=b):
             return _eval(a, env, st) and _eval(b, env, st)
         case Or(left=a, right=b):
             return _eval(a, env, st) or _eval(b, env, st)
+        case InSet(elem=e, coll=c):
+            return env[e] in env[c]
+        case Less(left=a, right=b):
+            return st.less(env[a], env[b])
         case PathAtom(src=a, vset=x, eset=y, dst=b):
-            return _check_path(st.dag, env[a], env[x], env[y], env[b])
+            return _check_path(st, env[a], env[x], env[y], env[b])
+        case HasLabel(vertex=v, label=lab):
+            return st.labels[env[v]] == lab
+        case EdgeSource(edge=y, vertex=x):
+            return st.edges[env[y]][0] == env[x]
+        case EdgeTarget(edge=y, vertex=x):
+            return st.edges[env[y]][1] == env[x]
+        case Truth(value=v):
+            return v
         case Reduced():
-            return st.dag.is_transitively_reduced()
+            return st.is_transitively_reduced()
         case Coverable(count=c):
-            return st.dag.min_path_cover()[0] <= c
+            return st.min_path_cover()[0] <= c
         case Exists(var=v, body=b):
-            domain: Iterator
-            if v.sort == VERTEX:
-                domain = iter(st.vertices)
-            elif v.sort == EDGE:
-                domain = iter(st.edge_ids)
-            elif v.sort == VSET:
-                domain = _subsets(st.vertices)
-            else:
-                domain = _subsets(st.edge_ids)
+            items = st.vertices if v.sort in _ORDER_SORTS else range(len(st.edges))
+            domain = items if v.sort in _FIRST_ORDER else _subsets(items)
             old = env.get(v, _MISSING)
             found = False
             for value in domain:
@@ -520,44 +473,31 @@ def _check_path(dag: LabeledDag, src, vset, eset, dst) -> bool:
             return False
         outd[u] = outd.get(u, 0) + 1
         ind[v] = ind.get(v, 0) + 1
-    if outd.get(src, 0) != 1 or ind.get(src, 0) != 0:
-        return False
-    if ind.get(dst, 0) != 1 or outd.get(dst, 0) != 0:
-        return False
-    for v in vset:
-        if outd.get(v, 0) != 1 or ind.get(v, 0) != 1:
-            return False
-    return True
+    return (outd.get(src, 0) == 1 and ind.get(src, 0) == 0
+            and ind.get(dst, 0) == 1 and outd.get(dst, 0) == 0
+            and all(outd.get(v, 0) == 1 and ind.get(v, 0) == 1 for v in vset))
 
 
 # -- concrete syntax --------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(<->|->|[()\.,&|!<=]|:e|[A-Za-z_][A-Za-z0-9_]*|\S)")
+_TOKEN_RE = re.compile(r"\s*(<->|->|[()\.,&|!<=]|:e|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S)")
 _KEYWORDS = {"EX", "ALL", "in", "true", "false", "rho", "gamma", "path"}
+_CALLS = {sig.call: cls for cls, sig in SIGNATURES.items() if sig.call}
 
 
 class _Parser:
     def __init__(self, text: str, free: Optional[dict] = None):
         self.text = text
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m or not m.group(1).strip():
-                break
-            self.tokens.append((m.group(1), m.start(1)))
-            pos = m.end()
+        self.tokens = [(m.group(1), m.start(1)) for m in _TOKEN_RE.finditer(text)]
         self.i = 0
-        self.scope: dict[str, Var] = {}
-        for name, sort in (free or {}).items():
-            self.scope[name] = Var(name, sort)
+        self.scope = {name: Var(name, sort) for name, sort in (free or {}).items()}
 
     def error(self, msg: str):
         pos = self.tokens[self.i][1] if self.i < len(self.tokens) else len(self.text)
         raise InputError(f"syntax error at position {pos}: {msg}")
 
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
+    def peek(self, ahead: int = 0) -> Optional[str]:
+        return self.tokens[self.i + ahead][0] if self.i + ahead < len(self.tokens) else None
 
     def take(self, expected: Optional[str] = None) -> str:
         tok = self.peek()
@@ -574,8 +514,7 @@ class _Parser:
         left = self.implication()
         while self.peek() == "<->":
             self.take()
-            right = self.implication()
-            left = iff(left, right)
+            left = iff(left, self.implication())
         return left
 
     def implication(self):
@@ -610,28 +549,21 @@ class _Parser:
 
     def quantifier(self):
         kind = self.take()
-        name = self.take()
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name in _KEYWORDS:
-            self.error(f"bad variable name {name!r}")
-        edge_sorted = False
-        if self.peek() == ":e":
+        name = self.name()
+        edge_sorted = self.peek() == ":e"
+        if edge_sorted:
             self.take()
-            edge_sorted = True
         if name[0].isupper():
             sort = ESET if edge_sorted else VSET
         else:
             sort = EDGE if edge_sorted else VERTEX
         self.take(".")
         var = Var(name, sort)
-        saved = self.scope.get(name)
-        self.scope[name] = var
+        outer = self.scope
+        self.scope = {**outer, name: var}
         body = self.formula()
-        if saved is None:
-            del self.scope[name]
-        else:
-            self.scope[name] = saved
-        phi = Exists(var, body)
-        return phi if kind == "EX" else forall(var, body)
+        self.scope = outer
+        return Exists(var, body) if kind == "EX" else forall(var, body)
 
     def atom(self):
         tok = self.peek()
@@ -640,12 +572,9 @@ class _Parser:
             phi = self.formula()
             self.take(")")
             return phi
-        if tok == "true":
+        if tok in ("true", "false"):
             self.take()
-            return Truth(True)
-        if tok == "false":
-            self.take()
-            return Truth(False)
+            return Truth(tok == "true")
         if tok == "rho":
             self.take()
             return Reduced()
@@ -653,37 +582,28 @@ class _Parser:
             self.take()
             self.take("(")
             num = self.take()
-            if not num.isdigit():
+            if not num.isdecimal():
                 self.error("gamma(c) needs a numeral")
             self.take(")")
             return Coverable(int(num))
-        if tok == "path":
+        if tok == "l" and self.peek(1) == "(":
             self.take()
             self.take("(")
-            a = self.variable(VERTEX)
+            v = self.variable(VERTEX)
             self.take(",")
-            x = self.variable(VSET)
-            self.take(",")
-            y = self.variable(ESET)
-            self.take(",")
-            b = self.variable(VERTEX)
+            lab = self.take()
             self.take(")")
-            return PathAtom(a, x, y, b)
-        if tok in ("l", "s", "t") and self.i + 1 < len(self.tokens) \
-                and self.tokens[self.i + 1][0] == "(":
-            fn = self.take()
+            return HasLabel(v, lab)
+        if tok in _CALLS and (tok in _KEYWORDS or self.peek(1) == "("):
+            cls = _CALLS[self.take()]
             self.take("(")
-            if fn == "l":
-                v = self.variable(VERTEX)
-                self.take(",")
-                lab = self.take()
-                self.take(")")
-                return HasLabel(v, lab)
-            y = self.variable(EDGE)
-            self.take(",")
-            x = self.variable(VERTEX)
+            args = []
+            for sort in SIGNATURES[cls].sorts[0]:
+                if args:
+                    self.take(",")
+                args.append(self.variable(sort))
             self.take(")")
-            return EdgeSource(y, x) if fn == "s" else EdgeTarget(y, x)
+            return cls(*args)
         # variable-led atoms: x < y, x = y, x in X
         a = self.variable(None)
         op = self.peek()
@@ -703,10 +623,14 @@ class _Parser:
             return InSet(a, coll)
         self.error(f"expected '<', '=' or 'in' after variable {a.name!r}")
 
-    def variable(self, want: Optional[str]) -> Var:
+    def name(self) -> str:
         name = self.take()
         if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) or name in _KEYWORDS:
             self.error(f"bad variable name {name!r}")
+        return name
+
+    def variable(self, want: Optional[str]) -> Var:
+        name = self.name()
         var = self.scope.get(name)
         if var is None:
             self.error(f"unbound variable {name!r}")
@@ -747,12 +671,9 @@ def _print(phi, prec: int) -> str:
             return _wrap(f"{a.name} < {b.name}", 4, prec)
         case HasLabel(vertex=v, label=lab):
             return f"l({v.name},{lab})"
-        case EdgeSource(edge=y, vertex=x):
-            return f"s({y.name},{x.name})"
-        case EdgeTarget(edge=y, vertex=x):
-            return f"t({y.name},{x.name})"
-        case PathAtom(src=a, vset=x, eset=y, dst=b):
-            return f"path({a.name},{x.name},{y.name},{b.name})"
+        case EdgeSource() | EdgeTarget() | PathAtom():
+            names = ",".join(v.name for v in _variables(phi))
+            return f"{SIGNATURES[phi.__class__].call}({names})"
         case Reduced():
             return "rho"
         case Coverable(count=c):

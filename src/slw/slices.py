@@ -266,6 +266,8 @@ def unit_alphabet(c: int, labels: tuple) -> tuple:
         raise InputError("width bound must be >= 1")
     if not labels:
         raise InputError("label set must be nonempty")
+    if len(set(labels)) != len(labels):
+        raise InputError(f"labels are a set; repeated label in {','.join(map(str, labels))}")
     letters = []
     for n_in in range(c + 1):
         for n_out in range(c + 1):

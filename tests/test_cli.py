@@ -301,6 +301,31 @@ def test_alphabet_order_does_not_matter(files, command):
     assert texts[0] == texts[1]
 
 
+def test_aut_operations_ignore_label_order(files, capsys):
+    # `--alphabet a,b` and `b,a` write one body under two headers
+    write, tmp = files
+    psi = write("edge.mso2", corpus.SOME_EDGE)
+    ab, ba = str(tmp / "ab.aut"), str(tmp / "ba.aut")
+    for alphabet, out in (("a,b", ab), ("b,a", ba)):
+        assert main(["compile", "--mso2", psi, "--c", "1", "--alphabet", alphabet,
+                     "-o", out]) == 0
+    assert main(["aut", "includes", ab, ba]) == 0
+    assert main(["aut", "equivalent", ba, ab]) == 0
+    assert main(["aut", "diff", ab, ba, "-o", str(tmp / "none.aut")]) == 0
+    assert main(["aut", "empty", str(tmp / "none.aut")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_repeated_label_exits_three(files, capsys):
+    write, _ = files
+    psi = write("edge.mso2", corpus.SOME_EDGE)
+    assert main(["compile", "--mso2", psi, "--c", "1", "--alphabet", "a,a"]) == 3
+    assert "repeated label" in capsys.readouterr().err
+    aut = write("aa.aut", "slice-automaton c=1 alphabet=a,a\nstate 0 initial\n")
+    assert main(["aut", "empty", aut]) == 3
+    assert "repeated label" in capsys.readouterr().err
+
+
 def test_output_does_not_depend_on_hash_seed(tmp_path):
     nets = make_fixture_nets()
     for name in ("N0", "N1", "N2"):

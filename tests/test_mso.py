@@ -6,14 +6,18 @@ import random
 
 import pytest
 
-from slw.compiler import po_automaton
+from slw.compiler import compile_formula, po_automaton
 from slw.config import DEFAULT_CONFIG, InputError, RunConfig
 from slw.dag import LabeledDag, LabeledPoset, all_dags, dedup_posets
-from slw.mso import (And, Coverable, Exists, HasLabel, Less, Not, Or, PathAtom, Reduced, Var,
-                     evaluate_dag, evaluate_po, expand_builtins, parse, to_graph_formula,
-                     to_text)
+from slw.mso import (And, Coverable, EdgeSource, EdgeTarget, Exists, HasLabel, InSet, Less, Not,
+                     Or, PathAtom, Reduced, Truth, Var, EDGE, ESET, SIGNATURES, VERTEX, VSET,
+                     check_sorts, coverable_formula, evaluate_dag, evaluate_po,
+                     expand_builtins, free_vars, is_graph_formula, is_order_formula, parse,
+                     path_formula, reduced_formula, to_graph_formula, to_text)
 from slw.slices import unit_decompositions
 from slw import corpus
+
+from test_randomized import random_graph_formula, random_order_formula
 
 
 class TestParser:
@@ -49,6 +53,24 @@ class TestParser:
         # ALL and -> reduce to the minimal connective set
         ast = parse("ALL x. (l(x,a) -> l(x,a))")
         assert isinstance(ast, Not)
+
+    def test_gamma_takes_a_decimal_numeral(self):
+        assert parse("gamma(12)") == Coverable(12)
+        assert parse(to_text(Coverable(12))) == Coverable(12)
+        # "²" is a digit to str.isdigit, but no numeral to int()
+        with pytest.raises(InputError, match="numeral"):
+            parse("gamma(\u00b2)")
+
+    def test_call_atoms_read_their_sorts_from_the_table(self):
+        free = {"y": "edge", "x": "vertex", "X": "vset", "Y": "eset", "z": "vertex"}
+        for text in ("s(y,x)", "t(y,x)", "path(x,X,Y,z)"):
+            atom = parse(text, free=free)
+            assert SIGNATURES[type(atom)].call == text.split("(")[0]
+            assert to_text(atom) == text
+        with pytest.raises(InputError, match="has sort vertex, expected edge"):
+            parse("s(x,x)", free=free)
+        with pytest.raises(InputError, match="bad variable name 'path'"):
+            parse("EX path. true")
 
 
 class TestRecords:
@@ -249,3 +271,214 @@ class TestBuiltinDualForms:
                                           if rng.random() < 0.6)}
                     assert evaluate_dag(h, atom, env=dict(env)) \
                         == evaluate_dag(h, expanded, env=dict(env)), (h, env)
+
+
+class TestUnknownBinderSort:
+    BOGUS = Exists(Var("x", "bogus"), Truth(True))
+
+    def test_check_sorts_rejects_it(self):
+        with pytest.raises(InputError, match="unknown sort 'bogus'"):
+            check_sorts(self.BOGUS)
+
+    def test_evaluate_dag_rejects_it(self):
+        with pytest.raises(InputError, match="unknown sort"):
+            evaluate_dag(LabeledDag({0: "a"}, []), self.BOGUS)
+
+    def test_compile_formula_rejects_it(self):
+        with pytest.raises(InputError, match="unknown sort"):
+            compile_formula(self.BOGUS, 1, ("a",))
+
+
+# -- the recursive definitions that the signature table replaced, kept as a reference --
+
+
+def ref_free_vars(phi) -> frozenset:
+    match phi:
+        case Truth() | Reduced() | Coverable():
+            return frozenset()
+        case InSet(elem=e, coll=c):
+            return frozenset([e, c])
+        case Less(left=a, right=b):
+            return frozenset([a, b])
+        case HasLabel(vertex=v):
+            return frozenset([v])
+        case EdgeSource(edge=y, vertex=x) | EdgeTarget(edge=y, vertex=x):
+            return frozenset([y, x])
+        case PathAtom(src=a, vset=x, eset=y, dst=b):
+            return frozenset([a, x, y, b])
+        case Not(body=b):
+            return ref_free_vars(b)
+        case And(left=a, right=b) | Or(left=a, right=b):
+            return ref_free_vars(a) | ref_free_vars(b)
+        case Exists(var=v, body=b):
+            return ref_free_vars(b) - {v}
+    raise InputError(f"not a formula node: {phi!r}")
+
+
+def ref_is_order_formula(phi) -> bool:
+    match phi:
+        case Truth():
+            return True
+        case InSet(elem=e, coll=c):
+            return e.sort == VERTEX and c.sort == VSET
+        case Less():
+            return True
+        case HasLabel():
+            return True
+        case EdgeSource() | EdgeTarget() | PathAtom() | Reduced() | Coverable():
+            return False
+        case Not(body=b):
+            return ref_is_order_formula(b)
+        case And(left=a, right=b) | Or(left=a, right=b):
+            return ref_is_order_formula(a) and ref_is_order_formula(b)
+        case Exists(var=v, body=b):
+            return v.sort in (VERTEX, VSET) and ref_is_order_formula(b)
+    return False
+
+
+def ref_is_graph_formula(phi) -> bool:
+    match phi:
+        case Less():
+            return False
+        case Not(body=b):
+            return ref_is_graph_formula(b)
+        case And(left=a, right=b) | Or(left=a, right=b):
+            return ref_is_graph_formula(a) and ref_is_graph_formula(b)
+        case Exists(body=b):
+            return ref_is_graph_formula(b)
+        case _:
+            return True
+
+
+def ref_check_sorts(phi):
+    match phi:
+        case Truth() | Reduced() | Coverable():
+            return
+        case InSet(elem=e, coll=c):
+            ok = (e.sort == VERTEX and c.sort == VSET) or (e.sort == EDGE and c.sort == ESET)
+            if not ok:
+                raise InputError(f"ill-sorted membership: {e.name} in {c.name}")
+        case Less(left=a, right=b):
+            if a.sort != VERTEX or b.sort != VERTEX:
+                raise InputError(f"order atom needs vertex variables: {a.name} < {b.name}")
+        case HasLabel(vertex=v):
+            if v.sort != VERTEX:
+                raise InputError(f"label atom needs a vertex variable: {v.name}")
+        case EdgeSource(edge=y, vertex=x) | EdgeTarget(edge=y, vertex=x):
+            if y.sort != EDGE or x.sort != VERTEX:
+                raise InputError(f"s/t atoms need (edge, vertex) arguments: {y.name}, {x.name}")
+        case PathAtom(src=a, vset=x, eset=y, dst=b):
+            if (a.sort, x.sort, y.sort, b.sort) != (VERTEX, VSET, ESET, VERTEX):
+                raise InputError("path atom needs (vertex, vertex-set, edge-set, vertex)")
+        case Not(body=b):
+            ref_check_sorts(b)
+        case And(left=a, right=b) | Or(left=a, right=b):
+            ref_check_sorts(a)
+            ref_check_sorts(b)
+        case Exists(body=b):
+            ref_check_sorts(b)
+        case _:
+            raise InputError(f"not a formula node: {phi!r}")
+
+
+def ref_to_graph_formula(phi):
+    match phi:
+        case Less(left=a, right=b):
+            xv, yv = Var("PV", VSET), Var("PE", ESET)
+            return Exists(xv, Exists(yv, PathAtom(a, xv, yv, b)))
+        case Not(body=b):
+            return Not(ref_to_graph_formula(b))
+        case And(left=a, right=b):
+            return And(ref_to_graph_formula(a), ref_to_graph_formula(b))
+        case Or(left=a, right=b):
+            return Or(ref_to_graph_formula(a), ref_to_graph_formula(b))
+        case Exists(var=v, body=b):
+            return Exists(v, ref_to_graph_formula(b))
+        case _:
+            return phi
+
+
+def ref_expand_builtins(phi):
+    match phi:
+        case PathAtom(src=a, vset=x, eset=y, dst=b):
+            return path_formula(a, x, y, b)
+        case Reduced():
+            return reduced_formula()
+        case Coverable(count=c):
+            return coverable_formula(c)
+        case Not(body=b):
+            return Not(ref_expand_builtins(b))
+        case And(left=a, right=b):
+            return And(ref_expand_builtins(a), ref_expand_builtins(b))
+        case Or(left=a, right=b):
+            return Or(ref_expand_builtins(a), ref_expand_builtins(b))
+        case Exists(var=v, body=b):
+            return Exists(v, ref_expand_builtins(b))
+        case _:
+            return phi
+
+
+PAIRS = [(ref_free_vars, free_vars), (ref_is_order_formula, is_order_formula),
+         (ref_is_graph_formula, is_graph_formula), (ref_check_sorts, check_sorts),
+         (ref_to_graph_formula, to_graph_formula), (ref_expand_builtins, expand_builtins)]
+
+_V, _W, _E = Var("x", VERTEX), Var("z", VERTEX), Var("y", EDGE)
+_VS, _ES = Var("X", VSET), Var("Y", ESET)
+# one ill-sorted instance of each atom that has variables, and a gamma with no path
+ILL_SORTED = [InSet(_V, _ES), Less(_E, _V), HasLabel(_VS, "a"), EdgeSource(_V, _W),
+              EdgeTarget(_E, _ES), PathAtom(_V, _W, _ES, _V), Coverable(0)]
+
+
+def _outcome(fn, phi):
+    try:
+        return "value", fn(phi)
+    except InputError as err:
+        return "raises", str(err)
+
+
+def _reference_inputs():
+    corpus_formulas = [parse(text) for text in (*corpus.ORDER_CORPUS.values(),
+                                                *corpus.GRAPH_CORPUS.values())]
+    images = [image for phi in corpus_formulas
+              for image in (to_graph_formula(phi), expand_builtins(phi))]
+    order_rng, graph_rng = random.Random(17), random.Random(19)
+    randoms = ([random_order_formula(order_rng, 4, []) for _ in range(200)]
+               + [random_graph_formula(graph_rng, 4, []) for _ in range(200)])
+    return corpus_formulas + images + randoms + ILL_SORTED
+
+
+class TestReferenceDefinitions:
+    """The table-driven queries and rewrites answer as the recursions they
+    replaced did, on the corpus, its rewrites, random formulas and ill-sorted
+    atoms."""
+
+    @pytest.mark.parametrize("ref, new", PAIRS, ids=[new.__name__ for _, new in PAIRS])
+    def test_same_answers(self, ref, new):
+        for phi in _reference_inputs():
+            if new is is_order_formula and phi == Less(_E, _V):
+                continue  # the one deliberate change, asserted below
+            assert _outcome(ref, phi) == _outcome(new, phi), to_text(phi)
+
+    def test_an_edge_variable_makes_no_order_formula(self):
+        # the recursion looked at the sorts of memberships and binders only,
+        # so it called `y < x` with an edge y an order formula; both versions
+        # reject it before evaluating, by the sort check
+        phi = Less(_E, _V)
+        assert ref_is_order_formula(phi) and not is_order_formula(phi)
+        for check in (ref_check_sorts, check_sorts):
+            with pytest.raises(InputError, match="order atom needs vertex variables"):
+                check(phi)
+
+    def test_inputs_cover_every_atom(self):
+        kinds = {type(node) for phi in _reference_inputs() for node in _walk(phi)}
+        assert set(SIGNATURES) <= kinds
+
+
+def _walk(phi):
+    yield phi
+    match phi:
+        case Not(body=b) | Exists(body=b):
+            yield from _walk(b)
+        case And(left=a, right=b) | Or(left=a, right=b):
+            yield from _walk(a)
+            yield from _walk(b)
