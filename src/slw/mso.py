@@ -5,7 +5,9 @@ graph formulas additionally quantify over edges and edge sets and use the
 source/target atoms s(y,x), t(y,x). Universal quantification, implication,
 biconditional and equality are parser macros over the minimal connective set;
 `rho` (transitively reduced), `gamma(c)` (coverable by c paths) and
-`path(x1,X,Y,x2)` are builtin atoms with equivalent pure encodings.
+`path(x1,X,Y,x2)` are builtin atoms with equivalent pure encodings. Equality
+stays a macro here, and the evaluators expand it, but the compiler reads the
+macro's node back (`equality_operands`) and builds it as one letter filter.
 
 Each atom is declared once, in `SIGNATURES`: the sorts its variables may
 take, whether it speaks about edges, and its name in the concrete syntax.
@@ -179,6 +181,16 @@ def equal(a: Var, b: Var) -> Formula:
         raise InputError(f"equality needs two first-order variables of one sort: {a}, {b}")
     z = Var("EQ" + a.name.upper() + b.name.upper(), VSET if a.sort == VERTEX else ESET)
     return forall(z, iff(InSet(a, z), InSet(b, z)))
+
+
+def equality_operands(phi) -> Optional[tuple]:
+    """(a, b) when phi is the node `equal(a, b)` builds, else None."""
+    match phi:
+        case Not(body=Exists(body=Not(body=And(left=Or(left=Not(body=InSet(elem=a)),
+                                                          right=InSet(elem=b)))))):
+            if a.sort == b.sort and a.sort in _FIRST_ORDER and phi == equal(a, b):
+                return a, b
+    return None
 
 
 # -- traversal and structural queries ----------------------------------------------

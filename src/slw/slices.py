@@ -268,6 +268,8 @@ def unit_alphabet(c: int, labels: tuple) -> tuple:
         raise InputError("label set must be nonempty")
     if len(set(labels)) != len(labels):
         raise InputError(f"labels are a set; repeated label in {','.join(map(str, labels))}")
+    if "" in labels:
+        raise InputError(f"empty label in alphabet {','.join(map(str, labels))!r}")
     letters = []
     for n_in in range(c + 1):
         for n_out in range(c + 1):

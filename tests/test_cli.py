@@ -262,6 +262,9 @@ BAD_FILES = {
     "bad-bound.net": "net x bound=x\ntransitions a\nplace init=1 take(a)=1 put(a)=1\n",
     "flag-typo.aut": "slice-automaton c=1 alphabet=a\nstate 0 initial\nstate 1 finale\n"
                      "trans 0 slice{in:0; out:0; center:a; edges: } 1\n",
+    "empty-label.aut": "slice-automaton c=1 alphabet=a,\nstate 0 initial\nstate 1 final\n"
+                       "trans 0 slice{in:0; out:0; center:; edges: } 1\n",
+    "no-label.aut": "slice-automaton c=1 alphabet=\nstate 0 initial\n",
 }
 
 
@@ -273,6 +276,8 @@ BAD_FILES = {
     ["aut", "empty", "short-trans.aut"],
     ["net-automaton", "--net", "bad-bound.net", "--c", "1", "--sem", "ex"],
     ["aut", "empty", "flag-typo.aut"],
+    ["aut", "members", "empty-label.aut", "--n", "2"],
+    ["aut", "members", "no-label.aut", "--n", "2"],
 ])
 def test_bad_arguments_exit_three_without_traceback(files, args):
     write, tmp = files
@@ -324,6 +329,15 @@ def test_repeated_label_exits_three(files, capsys):
     aut = write("aa.aut", "slice-automaton c=1 alphabet=a,a\nstate 0 initial\n")
     assert main(["aut", "empty", aut]) == 3
     assert "repeated label" in capsys.readouterr().err
+
+
+def test_empty_label_exits_three(files, capsys):
+    # an .aut header that ends in a comma, or names no label, declares ""
+    write, _ = files
+    for name, alphabet in (("empty-label.aut", "'a,'"), ("no-label.aut", "''")):
+        aut = write(name, BAD_FILES[name])
+        assert main(["aut", "members", aut, "--n", "2"]) == 3
+        assert capsys.readouterr() == ("", f"error: empty label in alphabet {alphabet}\n")
 
 
 def test_output_does_not_depend_on_hash_seed(tmp_path):

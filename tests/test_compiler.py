@@ -2,9 +2,9 @@
 
 import pytest
 
-from slw import compiler
+from slw import compiler, mso
 from slw.automata import equivalent, intersect, union, valid_sequences
-from slw.compiler import compile_formula
+from slw.compiler import compile_formula, po_automaton
 from slw.config import InputError, ResourceError, RunConfig
 from slw.constructions import check_saturated_upto, universal_automaton
 from slw.dag import all_dags
@@ -121,6 +121,58 @@ class TestScoping:
         compile_formula(phi, 1, ("a", "b"))
         assert widest == 4
         assert signatures and max(map(len, signatures)) <= widest
+
+
+class TestEquality:
+    """`x = y` compiles as one letter filter, not as the set quantifier the
+    parser writes; the oracles still evaluate the quantifier."""
+
+    @pytest.mark.parametrize("name, c", [(name, c) for c in (1, 2)
+                                         for name in corpus.ORDER_CORPUS]
+                             + [(name, 3) for name in ("total-order", "some-incomparable",
+                                                       "a-antichain-pair")])
+    def test_filter_changes_no_bytes(self, monkeypatch, name, c):
+        phi = parse(corpus.ORDER_CORPUS[name])
+        filtered = po_automaton(phi, c, ("a", "b")).to_text()
+        monkeypatch.setattr(compiler.mso, "equality_operands", lambda phi: None)
+        assert po_automaton(phi, c, ("a", "b")).to_text() == filtered
+
+    def test_the_encoding_is_never_compiled(self, monkeypatch):
+        phi = to_graph_formula(parse(corpus.TOTAL_ORDER))
+        encodings = [sub.body for sub in _subformulas(phi) if mso.equality_operands(sub)]
+        original, seen = compiler._compile, []
+
+        def spy(sub, *args):
+            seen.append(sub)
+            return original(sub, *args)
+
+        monkeypatch.setattr(compiler, "_compile", spy)
+        compile_formula(phi, 2, ("t",))
+        assert encodings and any(map(mso.equality_operands, seen))
+        assert not any(sub in encodings for sub in seen)
+
+    # each formula, the equality it holds and one-way Leibniz equality for it,
+    # which the recognizer does not match
+    CASES = [
+        ("ALL y:e. ALL z:e. ((EX x. (s(y,x) & s(z,x))) -> y = z)",
+         "y = z", "(ALL Z:e. (y in Z -> z in Z))"),
+        ("EX y:e. EX z:e. (!(y = z) & (EX x. (t(y,x) & t(z,x))))",
+         "y = z", "(ALL Z:e. (y in Z -> z in Z))"),
+        ("ALL x. (x = x & (l(x,a) | l(x,b)))", "x = x", "(ALL Z. (x in Z -> x in Z))"),
+        ("EX y:e. y = y", "y = y", "(ALL Z:e. (y in Z -> y in Z))"),
+    ]
+
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("text, eq, leibniz", CASES)
+    def test_edge_and_reflexive_equality(self, c, text, eq, leibniz):
+        phi, full = parse(text), parse(text.replace(eq, leibniz))
+        assert any(map(mso.equality_operands, _subformulas(phi)))
+        assert not any(map(mso.equality_operands, _subformulas(full)))
+        aut = compile_formula(phi, c, ("a", "b"))
+        for h, _, decomps in hasse_sweep(c, ("a", "b")):
+            expected = evaluate_dag(h, phi)
+            assert all(aut.accepts(u) == expected for u in decomps), (c, h)
+        assert equivalent(aut, compile_formula(full, c, ("a", "b")))
 
 
 def _subformulas(phi):
