@@ -35,6 +35,10 @@ from .slices import (Slice, UnitDecomposition, can_glue, compose, from_literal, 
                      to_literal, unit_alphabet)
 
 
+# words `SliceAutomaton.enumerate_words` may visit before it gives up
+MAX_WORDS = 500_000
+
+
 def letter_base(letter) -> Slice:
     """The underlying unit slice of a letter (annotated letters carry `.base`)."""
     return getattr(letter, "base", letter)
@@ -220,17 +224,16 @@ class SliceAutomaton:
 
     # -- word enumeration ------------------------------------------------------------
 
-    def enumerate_words(self, max_len: int,
-                        config: RunConfig = DEFAULT_CONFIG) -> Iterator[tuple]:
+    def enumerate_words(self, max_len: int) -> Iterator[tuple]:
         """All accepted words of length <= max_len (letters as stored)."""
-        budget = config.max_words
+        budget = MAX_WORDS
 
         def rec(q, word):
             nonlocal budget
             budget -= 1
             if budget < 0:
                 raise ResourceError("word-enumeration cap exceeded",
-                                    context=f"max_words={config.max_words}")
+                                    context=f"max_words={MAX_WORDS}")
             if word and q in self.finals:
                 yield tuple(word)
             if len(word) >= max_len:
@@ -256,7 +259,7 @@ class SliceAutomaton:
             raise ResourceError(f"member enumeration beyond cap: {n}",
                                 context=f"max_enum_vertices={config.max_enum_vertices}")
         words = dict.fromkeys(tuple(letter_base(s) for s in w)
-                              for w in self.enumerate_words(n, config))
+                              for w in self.enumerate_words(n))
         return dedup_posets(compose(UnitDecomposition(w)).transitive_closure() for w in words)
 
     def graph_members_up_to(self, n: int,
@@ -266,7 +269,7 @@ class SliceAutomaton:
             raise ResourceError(f"member enumeration beyond cap: {n}",
                                 context=f"max_enum_vertices={config.max_enum_vertices}")
         by_key = {}
-        for w in self.enumerate_words(n, config):
+        for w in self.enumerate_words(n):
             g = compose(UnitDecomposition(tuple(letter_base(s) for s in w)))
             by_key.setdefault(g.canonical_key(), g)
         return [by_key[k] for k in sorted(by_key)]

@@ -12,11 +12,10 @@ well-formed language (valid letter sequences with exactly-one marks per
 first-order variable); conjunction and disjunction move both sides to the
 union of their contexts (`cylindrify`) and become product and union;
 negation is complement relative to the well-formed language; an existential
-quantifier marks its variable, then projects the mark away. Equality, which
-the parser writes as a set quantifier, is read back and becomes one letter
-filter: equal marks on every letter. A closed subformula compiles over the
-bare unit alphabet wherever it occurs, and shadowing needs no renaming: the
-free variable of a body is always its innermost binder's.
+quantifier marks its variable, then projects the mark away. Equality is one
+letter filter: equal marks on every letter. A closed subformula compiles over
+the bare unit alphabet wherever it occurs, and shadowing needs no renaming:
+the free variable of a body is always its innermost binder's.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import NamedTuple, Sequence
 from .automata import SliceAutomaton, difference, explore, intersect, letter_base, union
 from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
 from . import mso
-from .mso import (And, Coverable, EdgeSource, EdgeTarget, Exists, HasLabel, InSet,
+from .mso import (And, Coverable, EdgeSource, EdgeTarget, Equal, Exists, HasLabel, InSet,
                   Not, Or, PathAtom, Reduced, Truth, Var,
                   EDGE, VERTEX, VSET, to_graph_formula, to_text)
 from .constructions import coverable_automaton, reduced_automaton, universal_automaton
@@ -265,6 +264,12 @@ def _compile(phi, c: int, labels: tuple, config: RunConfig) -> SliceAutomaton:
                 if e.sort == VERTEX:
                     return _filter_letters(wf(), lambda s: not (s.marks[ep] and not s.marks[cp]))
                 return _filter_letters(wf(), lambda s: s.marks[ep] <= s.marks[cp])
+            case Equal(left=a, right=b):
+                # the well-formed language marks each first-order variable
+                # once, a letter has one center and an edge variable marks at
+                # most one born port: equal marks everywhere name one element
+                ap, bp = ctx.index(a), ctx.index(b)
+                return _filter_letters(wf(), lambda s: s.marks[ap] == s.marks[bp])
             case HasLabel(label=lab):  # the context is the vertex alone
                 return _filter_letters(wf(), lambda s: not (s.marks[0] and s.base.label != lab))
             case EdgeSource(edge=y, vertex=x):
@@ -280,12 +285,6 @@ def _compile(phi, c: int, labels: tuple, config: RunConfig) -> SliceAutomaton:
                 return intersect(reduced_automaton(c, labels, config), wf(), config)
             case Coverable(count=k):
                 return intersect(coverable_automaton(c, labels, k, config), wf(), config)
-            case Not() if (operands := mso.equality_operands(phi)):
-                # the well-formed language marks each first-order variable
-                # once, a letter has one center and an edge variable marks at
-                # most one born port: equal marks everywhere name one element
-                ap, bp = (ctx.index(v) for v in operands)
-                return _filter_letters(wf(), lambda s: s.marks[ap] == s.marks[bp])
             case Not(body=b):
                 return difference(wf(), _compile(b, c, labels, config), config)
             case And(left=a, right=b):

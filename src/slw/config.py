@@ -83,15 +83,14 @@ class RunConfig(Record):
     loudly instead of hanging.
     """
 
-    __slots__ = ("max_states", "max_enum_vertices", "max_enum_edges", "max_words")
+    __slots__ = ("max_states", "max_enum_vertices", "max_enum_edges")
 
     def __init__(self,
                  max_states: int = 10**6,         # states of any one construction
                  max_enum_vertices: int = 6,      # enumeration oracles: largest DAG/poset
-                 max_enum_edges: int = 10,
-                 max_words: int = 500_000):       # language-enumeration cap (words visited)
-        super().__init__(max_states, max_enum_vertices, max_enum_edges, max_words)
-        if min(self.max_states, self.max_enum_vertices, self.max_enum_edges, self.max_words) <= 0:
+                 max_enum_edges: int = 10):
+        super().__init__(max_states, max_enum_vertices, max_enum_edges)
+        if min(self.max_states, self.max_enum_vertices, self.max_enum_edges) <= 0:
             raise InputError("all caps must be positive")
 
 

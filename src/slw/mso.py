@@ -2,12 +2,11 @@
 
 Order formulas speak about vertices, vertex sets, labels and the order x < y;
 graph formulas additionally quantify over edges and edge sets and use the
-source/target atoms s(y,x), t(y,x). Universal quantification, implication,
-biconditional and equality are parser macros over the minimal connective set;
-`rho` (transitively reduced), `gamma(c)` (coverable by c paths) and
-`path(x1,X,Y,x2)` are builtin atoms with equivalent pure encodings. Equality
-stays a macro here, and the evaluators expand it, but the compiler reads the
-macro's node back (`equality_operands`) and builds it as one letter filter.
+source/target atoms s(y,x), t(y,x). Equality x = y of two first-order
+variables of one sort is an atom. Universal quantification, implication and
+biconditional are parser macros over the minimal connective set; `rho`
+(transitively reduced), `gamma(c)` (coverable by c paths) and
+`path(x1,X,Y,x2)` are builtin atoms with equivalent pure encodings.
 
 Each atom is declared once, in `SIGNATURES`: the sorts its variables may
 take, whether it speaks about edges, and its name in the concrete syntax.
@@ -53,6 +52,12 @@ class InSet(Record):
 
 
 class Less(Record):
+    __slots__ = ("left", "right")
+    left: Var
+    right: Var
+
+
+class Equal(Record):
     __slots__ = ("left", "right")
     left: Var
     right: Var
@@ -141,6 +146,8 @@ SIGNATURES = {
                      "ill-sorted membership: {0} in {1}"),
     Less: Signature(((VERTEX, VERTEX),), False, None,
                     "order atom needs vertex variables: {0} < {1}"),
+    Equal: Signature(((VERTEX, VERTEX), (EDGE, EDGE)), False, None,
+                     "equality needs two first-order variables of one sort: {0} = {1}"),
     HasLabel: Signature(((VERTEX,),), False, None, "label atom needs a vertex variable: {0}"),
     EdgeSource: Signature(((EDGE, VERTEX),), True, "s", _ST_ERROR),
     EdgeTarget: Signature(((EDGE, VERTEX),), True, "t", _ST_ERROR),
@@ -173,24 +180,6 @@ def conj(parts) -> Formula:
 def disj(parts) -> Formula:
     parts = list(parts)
     return reduce(Or, parts) if parts else Truth(False)
-
-
-def equal(a: Var, b: Var) -> Formula:
-    """x = y via set quantification: every set containing one contains the other."""
-    if a.sort != b.sort or a.sort not in _FIRST_ORDER:
-        raise InputError(f"equality needs two first-order variables of one sort: {a}, {b}")
-    z = Var("EQ" + a.name.upper() + b.name.upper(), VSET if a.sort == VERTEX else ESET)
-    return forall(z, iff(InSet(a, z), InSet(b, z)))
-
-
-def equality_operands(phi) -> Optional[tuple]:
-    """(a, b) when phi is the node `equal(a, b)` builds, else None."""
-    match phi:
-        case Not(body=Exists(body=Not(body=And(left=Or(left=Not(body=InSet(elem=a)),
-                                                          right=InSet(elem=b)))))):
-            if a.sort == b.sort and a.sort in _FIRST_ORDER and phi == equal(a, b):
-                return a, b
-    return None
 
 
 # -- traversal and structural queries ----------------------------------------------
@@ -296,23 +285,25 @@ def to_graph_formula(phi) -> Formula:
 
 
 def path_formula(src: Var, vset: Var, eset: Var, dst: Var) -> Formula:
-    """Pure encoding of the path builtin (degree characterization; sound on DAGs)."""
-    y = Var("PFY", EDGE)
-    z = Var("PFZ", EDGE)
-    v = Var("pfv", VERTEX)
+    """Pure encoding of the path builtin (degree characterization; sound on DAGs).
+    Its bound variables are named apart from the arguments, so they capture none."""
+    taken, suffix = {src.name, vset.name, eset.name, dst.name}, ""
+    while taken & {"pfy" + suffix, "pfz" + suffix, "pfv" + suffix}:
+        suffix += "_"
+    y, z, v = Var("pfy" + suffix, EDGE), Var("pfz" + suffix, EDGE), Var("pfv" + suffix, VERTEX)
 
     def deg(vertex: Var, incident, want: int) -> Formula:
         # want==1: exactly one eset-edge incident as given; want==0: none
         some = Exists(y, conj([InSet(y, eset), incident(y, vertex),
                                forall(z, implies(And(InSet(z, eset), incident(z, vertex)),
-                                                 equal(z, y)))]))
+                                                 Equal(z, y)))]))
         none = Not(Exists(y, And(InSet(y, eset), incident(y, vertex))))
         return some if want == 1 else none
 
     endpoints_ok = forall(y, implies(
         InSet(y, eset),
         forall(v, implies(Or(EdgeSource(y, v), EdgeTarget(y, v)),
-                          disj([InSet(v, vset), equal(v, src), equal(v, dst)])))))
+                          disj([InSet(v, vset), Equal(v, src), Equal(v, dst)])))))
     internal_ok = forall(v, implies(
         InSet(v, vset),
         And(deg(v, EdgeSource, 1), deg(v, EdgeTarget, 1))))
@@ -324,13 +315,13 @@ def path_formula(src: Var, vset: Var, eset: Var, dst: Var) -> Formula:
 
 def reduced_formula() -> Formula:
     """Pure encoding of rho: no edge is subsumed by a longer path or duplicated."""
-    y = Var("RY", EDGE)
-    z = Var("RZ", EDGE)
+    y = Var("ry", EDGE)
+    z = Var("rz", EDGE)
     v, w, u = Var("rv", VERTEX), Var("rw", VERTEX), Var("ru", VERTEX)
     xs, ys = Var("RX", VSET), Var("RYS", ESET)
     long_path = Exists(xs, Exists(ys, And(path_formula(v, xs, ys, w),
                                           Exists(u, InSet(u, xs)))))
-    parallel = Exists(z, conj([Not(equal(z, y)), EdgeSource(z, v), EdgeTarget(z, w)]))
+    parallel = Exists(z, conj([Not(Equal(z, y)), EdgeSource(z, v), EdgeTarget(z, w)]))
     bad = Exists(y, Exists(v, Exists(w, conj([
         EdgeSource(y, v), EdgeTarget(y, w), Or(long_path, parallel)]))))
     return Not(bad)
@@ -342,7 +333,7 @@ def coverable_formula(count: int) -> Formula:
     if count < 1:
         raise InputError("gamma(c) needs c >= 1")
     v, w = Var("gv", VERTEX), Var("gw", VERTEX)
-    y, z = Var("GY", EDGE), Var("GZ", EDGE)
+    y, z = Var("gy", EDGE), Var("gz", EDGE)
 
     def path_shape(xs: Var, ys: Var) -> Formula:
         endpoints = forall(y, implies(
@@ -351,12 +342,12 @@ def coverable_formula(count: int) -> Formula:
         at_most_one = conj([
             forall(v, implies(InSet(v, xs), forall(y, forall(z, implies(
                 conj([InSet(y, ys), InSet(z, ys), incident(y, v), incident(z, v)]),
-                equal(y, z))))))
+                Equal(y, z))))))
             for incident in (EdgeSource, EdgeTarget)])
         no_in = lambda vertex: Not(Exists(y, And(InSet(y, ys), EdgeTarget(y, vertex))))
         one_source = Exists(v, conj([
             InSet(v, xs), no_in(v),
-            forall(w, implies(And(InSet(w, xs), no_in(w)), equal(w, v)))]))
+            forall(w, implies(And(InSet(w, xs), no_in(w)), Equal(w, v)))]))
         return conj([endpoints, at_most_one, one_source])
 
     xsets = [Var(f"GX{i}", VSET) for i in range(1, count + 1)]
@@ -438,6 +429,8 @@ def _eval(phi, env: dict, st) -> bool:
             return _eval(a, env, st) or _eval(b, env, st)
         case InSet(elem=e, coll=c):
             return env[e] in env[c]
+        case Equal(left=a, right=b):
+            return env[a] == env[b]
         case Less(left=a, right=b):
             return st.less(env[a], env[b])
         case PathAtom(src=a, vset=x, eset=y, dst=b):
@@ -627,8 +620,7 @@ class _Parser:
             return Less(a, b)
         if op == "=":
             self.take()
-            b = self.variable(a.sort)
-            return equal(a, b)
+            return Equal(a, self.variable(None))
         if op == "in":
             self.take()
             coll = self.variable(VSET if a.sort == VERTEX else ESET)
@@ -681,6 +673,8 @@ def _print(phi, prec: int) -> str:
             return _wrap(f"{e.name} in {c.name}", 4, prec)
         case Less(left=a, right=b):
             return _wrap(f"{a.name} < {b.name}", 4, prec)
+        case Equal(left=a, right=b):
+            return _wrap(f"{a.name} = {b.name}", 4, prec)
         case HasLabel(vertex=v, label=lab):
             return f"l({v.name},{lab})"
         case EdgeSource() | EdgeTarget() | PathAtom():

@@ -9,7 +9,8 @@ import pytest
 
 from slw.compiler import compile_formula, po_automaton
 from slw.dag import LabeledDag, all_dags
-from slw.mso import parse
+from slw import mso
+from slw.mso import ESET, VERTEX, VSET, Equal, InSet, Var, forall, iff, parse
 from slw.netaut import net_automaton
 from slw.ptnet import Place, PtNet
 from slw.slices import unit_decompositions
@@ -80,6 +81,19 @@ def hasse_sweep(c: int, labels: tuple, max_n: int = 4) -> tuple:
             items.append((h, h.transitive_closure(),
                           tuple(unit_decompositions(h, c))))
     return tuple(items)
+
+
+def leibniz(a: Var, b: Var):
+    """x = y by Leibniz's law, the reference for the Equal atom: every set
+    that contains one of them contains the other."""
+    z = Var("EQ" + a.name.upper() + b.name.upper(), VSET if a.sort == VERTEX else ESET)
+    return forall(z, iff(InSet(a, z), InSet(b, z)))
+
+
+def with_leibniz(phi):
+    """phi with every Equal atom replaced by its Leibniz definition."""
+    return mso._map_atoms(phi, lambda atom: leibniz(atom.left, atom.right)
+                          if isinstance(atom, Equal) else atom)
 
 
 def poset_keys(posets) -> set:

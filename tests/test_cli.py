@@ -13,6 +13,7 @@ from slw import cli
 from slw.automata import from_decompositions
 from slw.cli import main
 from slw.dag import LabeledPoset
+from slw.mso import expand_builtins, parse, to_text
 from slw.synthesis import VerificationReport
 from slw.slices import unit_slice
 
@@ -148,6 +149,16 @@ def test_compile_graph_formula(files, capsys):
     assert open(out).read().startswith("slice-automaton c=1 alphabet=t")
 
 
+def test_printed_rho_encoding_compiles_like_rho(files, capsys):
+    write, tmp = files
+    texts = {"rho": corpus.RHO, "encoding": to_text(expand_builtins(parse(corpus.RHO)))}
+    for name, text in texts.items():
+        assert main(["compile", "--mso2", write(f"{name}.mso2", text), "--c", "1",
+                     "--alphabet", "a,b", "-o", str(tmp / f"{name}.aut")]) == 0
+    assert main(["aut", "equivalent", str(tmp / "rho.aut"), str(tmp / "encoding.aut")]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
 def test_contract_cli(files):
     write, tmp = files
     yes = write("yes.mso", corpus.ALTERNATING_AB)
@@ -177,6 +188,17 @@ def test_malformed_inputs_exit_three(files, capsys):
     bad_phi = write("bad.mso", "EX x. (")
     assert main(["verify", "--net", net, "--mso", bad_phi, "--c", "1",
                  "--sem", "ex"]) == 3
+
+
+@pytest.mark.parametrize("text", ["EX X. EX Y. X = Y", "EX x. EX y:e. x = y"])
+def test_ill_sorted_equality_exits_three(files, capsys, text):
+    write, _ = files
+    net = write("n1.net", N1_TEXT)
+    phi = write("eq.mso", text)
+    assert main(["verify", "--net", net, "--mso", phi, "--c", "1", "--sem", "ex"]) == 3
+    err = capsys.readouterr().err
+    assert "equality needs two first-order variables of one sort" in err
+    assert "Traceback" not in err
 
 
 def test_resource_cap_exit_two(files, capsys):

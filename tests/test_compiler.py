@@ -2,17 +2,17 @@
 
 import pytest
 
-from slw import compiler, mso
+from slw import compiler
 from slw.automata import equivalent, intersect, union, valid_sequences
 from slw.compiler import compile_formula, po_automaton
 from slw.config import InputError, ResourceError, RunConfig
 from slw.constructions import check_saturated_upto, universal_automaton
 from slw.dag import all_dags
-from slw.mso import (And, Coverable, Exists, Not, Or, Reduced, Truth, evaluate_dag, free_vars,
-                     parse, to_graph_formula)
+from slw.mso import (And, Coverable, Equal, Exists, Not, Or, Reduced, Truth, Var, ESET, VSET,
+                     evaluate_dag, free_vars, parse, to_graph_formula)
 from slw.slices import unit_decompositions
 
-from conftest import cached_po_automaton, hasse_sweep
+from conftest import cached_po_automaton, hasse_sweep, with_leibniz
 from slw import corpus
 
 
@@ -124,22 +124,20 @@ class TestScoping:
 
 
 class TestEquality:
-    """`x = y` compiles as one letter filter, not as the set quantifier the
-    parser writes; the oracles still evaluate the quantifier."""
+    """`x = y` is an atom, compiled as one letter filter; Leibniz equality,
+    a set quantifier, is its reference."""
 
     @pytest.mark.parametrize("name, c", [(name, c) for c in (1, 2)
                                          for name in corpus.ORDER_CORPUS]
                              + [(name, 3) for name in ("total-order", "some-incomparable",
                                                        "a-antichain-pair")])
-    def test_filter_changes_no_bytes(self, monkeypatch, name, c):
+    def test_filter_changes_no_bytes(self, name, c):
         phi = parse(corpus.ORDER_CORPUS[name])
-        filtered = po_automaton(phi, c, ("a", "b")).to_text()
-        monkeypatch.setattr(compiler.mso, "equality_operands", lambda phi: None)
-        assert po_automaton(phi, c, ("a", "b")).to_text() == filtered
+        assert po_automaton(phi, c, ("a", "b")).to_text() \
+            == po_automaton(with_leibniz(phi), c, ("a", "b")).to_text()
 
-    def test_the_encoding_is_never_compiled(self, monkeypatch):
+    def test_no_set_quantifier_is_compiled_for_equality(self, monkeypatch):
         phi = to_graph_formula(parse(corpus.TOTAL_ORDER))
-        encodings = [sub.body for sub in _subformulas(phi) if mso.equality_operands(sub)]
         original, seen = compiler._compile, []
 
         def spy(sub, *args):
@@ -148,11 +146,12 @@ class TestEquality:
 
         monkeypatch.setattr(compiler, "_compile", spy)
         compile_formula(phi, 2, ("t",))
-        assert encodings and any(map(mso.equality_operands, seen))
-        assert not any(sub in encodings for sub in seen)
+        assert any(isinstance(sub, Equal) for sub in seen)
+        # the only set quantifiers are the path sets of the order rewrite
+        assert {sub.var for sub in seen if isinstance(sub, Exists)
+                and sub.var.sort in (VSET, ESET)} == {Var("PV", VSET), Var("PE", ESET)}
 
-    # each formula, the equality it holds and one-way Leibniz equality for it,
-    # which the recognizer does not match
+    # each formula, the equality it holds and one-way Leibniz equality for it
     CASES = [
         ("ALL y:e. ALL z:e. ((EX x. (s(y,x) & s(z,x))) -> y = z)",
          "y = z", "(ALL Z:e. (y in Z -> z in Z))"),
@@ -166,11 +165,12 @@ class TestEquality:
     @pytest.mark.parametrize("text, eq, leibniz", CASES)
     def test_edge_and_reflexive_equality(self, c, text, eq, leibniz):
         phi, full = parse(text), parse(text.replace(eq, leibniz))
-        assert any(map(mso.equality_operands, _subformulas(phi)))
-        assert not any(map(mso.equality_operands, _subformulas(full)))
-        aut = compile_formula(phi, c, ("a", "b"))
+        assert any(isinstance(sub, Equal) for sub in _subformulas(phi))
+        assert not any(isinstance(sub, Equal) for sub in _subformulas(full))
+        aut, reference = compile_formula(phi, c, ("a", "b")), with_leibniz(phi)
         for h, _, decomps in hasse_sweep(c, ("a", "b")):
             expected = evaluate_dag(h, phi)
+            assert expected == evaluate_dag(h, reference), (c, h)
             assert all(aut.accepts(u) == expected for u in decomps), (c, h)
         assert equivalent(aut, compile_formula(full, c, ("a", "b")))
 

@@ -9,14 +9,15 @@ import pytest
 from slw.compiler import compile_formula, po_automaton
 from slw.config import DEFAULT_CONFIG, InputError, RunConfig
 from slw.dag import LabeledDag, LabeledPoset, all_dags, dedup_posets
-from slw.mso import (And, Coverable, EdgeSource, EdgeTarget, Exists, HasLabel, InSet, Less, Not,
-                     Or, PathAtom, Reduced, Truth, Var, EDGE, ESET, SIGNATURES, VERTEX, VSET,
+from slw.mso import (And, Coverable, EdgeSource, EdgeTarget, Equal, Exists, HasLabel, InSet, Less,
+                     Not, Or, PathAtom, Reduced, Truth, Var, EDGE, ESET, SIGNATURES, VERTEX, VSET,
                      check_sorts, coverable_formula, evaluate_dag, evaluate_po,
                      expand_builtins, free_vars, is_graph_formula, is_order_formula, parse,
                      path_formula, reduced_formula, to_graph_formula, to_text)
 from slw.slices import unit_decompositions
 from slw import corpus
 
+from conftest import with_leibniz
 from test_randomized import random_graph_formula, random_order_formula
 
 
@@ -33,6 +34,12 @@ class TestParser:
         ast = parse(text)
         assert parse(to_text(ast)) == ast
 
+    @pytest.mark.parametrize("text", [*corpus.GRAPH_CORPUS.values(), "gamma(2)"])
+    def test_builtin_encodings_round_trip(self, text):
+        # the encodings name first-order variables lower case, as the parser does
+        expanded = expand_builtins(parse(text))
+        assert parse(to_text(expanded)) == expanded
+
     def test_unbound_variable(self):
         with pytest.raises(InputError, match="unbound"):
             parse("l(x,a)")
@@ -45,9 +52,13 @@ class TestParser:
         with pytest.raises(InputError):
             parse("EX y:e. EX x. y < x")
 
-    def test_equality_expands_to_set_quantifier(self):
+    def test_equality_is_an_atom(self):
+        x, y = Var("x", VERTEX), Var("y", VERTEX)
         ast = parse("EX x. EX y. x=y")
-        assert "EQ" in to_text(ast)
+        assert ast == Exists(x, Exists(y, Equal(x, y)))
+        assert to_text(ast) == "EX x. EX y. x = y"
+        assert to_text(Not(Equal(x, y))) == "!x = y"
+        assert parse("EX x. EX y. !x = y") == Exists(x, Exists(y, Not(Equal(x, y))))
 
     def test_macro_expansion_structure(self):
         # ALL and -> reduce to the minimal connective set
@@ -131,7 +142,7 @@ class TestRecords:
         assert RunConfig(max_states=5) != DEFAULT_CONFIG
         assert RunConfig(max_states=5).max_enum_vertices == DEFAULT_CONFIG.max_enum_vertices
         assert repr(DEFAULT_CONFIG) == ("RunConfig(max_states=1000000, max_enum_vertices=6, "
-                                        "max_enum_edges=10, max_words=500000)")
+                                        "max_enum_edges=10)")
         with pytest.raises(InputError, match="positive"):
             RunConfig(max_states=0)
 
@@ -193,6 +204,19 @@ from functools import lru_cache
 def all_posets_up_to(n, labels):
     return dedup_posets(h.transitive_closure()
                         for k in range(1, n + 1) for h in all_dags(k, labels))
+
+
+class TestLeibnizReference:
+    """The Equal atom evaluates as Leibniz equality, its set-quantifier
+    definition, on every small poset."""
+
+    @pytest.mark.parametrize("name", sorted(corpus.ORDER_CORPUS))
+    def test_order_corpus(self, name):
+        phi = parse(corpus.ORDER_CORPUS[name])
+        reference = with_leibniz(phi)
+        assert reference != phi
+        for po in all_posets_up_to(4, ("a", "b")):
+            assert evaluate_po(po, phi) == evaluate_po(po, reference), po
 
 
 class TestOrderToGraph:
@@ -272,6 +296,30 @@ class TestBuiltinDualForms:
                     assert evaluate_dag(h, atom, env=dict(env)) \
                         == evaluate_dag(h, expanded, env=dict(env)), (h, env)
 
+    @pytest.mark.parametrize("src, vset, eset, dst", [
+        ("pfv", "X", "Y", "b"), ("a", "X", "Y", "pfv"), ("pfy", "X", "Y", "pfz"),
+        ("a", "pfy", "pfz", "b"), ("pfv", "pfy", "pfz", "pfv_")])
+    def test_path_expansion_captures_no_argument(self, src, vset, eset, dst):
+        # arguments named like the encoding's bound variables
+        args = {src: "vertex", vset: "vset", eset: "eset", dst: "vertex"}
+        atom = parse(f"path({src},{vset},{eset},{dst})", free=args)
+        expanded = expand_builtins(atom)
+        assert parse(to_text(expanded), free=args) == expanded
+        two_edges = LabeledDag({0: "t", 1: "t", 2: "t", 3: "t"}, [(0, 1), (2, 3)])
+        envs = [(two_edges, {src: 0, dst: 3, vset: frozenset(), eset: frozenset([0, 1])})]
+        rng = random.Random(5)
+        for n in range(1, 4):
+            for h in all_dags(n, ["t"]):
+                verts = list(h.vertices)
+                envs += [(h, {src: rng.choice(verts), dst: rng.choice(verts),
+                              vset: frozenset(v for v in verts if rng.random() < 0.4),
+                              eset: frozenset(e for e in range(len(h.edges))
+                                              if rng.random() < 0.6)})
+                         for _ in range(2)]
+        for h, env in envs:
+            assert evaluate_dag(h, atom, env=dict(env)) \
+                == evaluate_dag(h, expanded, env=dict(env)), (h, env)
+
 
 class TestUnknownBinderSort:
     BOGUS = Exists(Var("x", "bogus"), Truth(True))
@@ -298,7 +346,7 @@ def ref_free_vars(phi) -> frozenset:
             return frozenset()
         case InSet(elem=e, coll=c):
             return frozenset([e, c])
-        case Less(left=a, right=b):
+        case Less(left=a, right=b) | Equal(left=a, right=b):
             return frozenset([a, b])
         case HasLabel(vertex=v):
             return frozenset([v])
@@ -323,6 +371,8 @@ def ref_is_order_formula(phi) -> bool:
             return e.sort == VERTEX and c.sort == VSET
         case Less():
             return True
+        case Equal(left=a, right=b):
+            return a.sort in (VERTEX, VSET) and b.sort in (VERTEX, VSET)
         case HasLabel():
             return True
         case EdgeSource() | EdgeTarget() | PathAtom() | Reduced() | Coverable():
@@ -361,6 +411,10 @@ def ref_check_sorts(phi):
         case Less(left=a, right=b):
             if a.sort != VERTEX or b.sort != VERTEX:
                 raise InputError(f"order atom needs vertex variables: {a.name} < {b.name}")
+        case Equal(left=a, right=b):
+            if a.sort != b.sort or a.sort not in (VERTEX, EDGE):
+                raise InputError("equality needs two first-order variables of one sort: "
+                                 f"{a.name} = {b.name}")
         case HasLabel(vertex=v):
             if v.sort != VERTEX:
                 raise InputError(f"label atom needs a vertex variable: {v.name}")
@@ -424,9 +478,11 @@ PAIRS = [(ref_free_vars, free_vars), (ref_is_order_formula, is_order_formula),
 
 _V, _W, _E = Var("x", VERTEX), Var("z", VERTEX), Var("y", EDGE)
 _VS, _ES = Var("X", VSET), Var("Y", ESET)
-# one ill-sorted instance of each atom that has variables, and a gamma with no path
+# one ill-sorted instance of each atom that has variables (two of equality: sets,
+# and mixed sorts), and a gamma with no path
 ILL_SORTED = [InSet(_V, _ES), Less(_E, _V), HasLabel(_VS, "a"), EdgeSource(_V, _W),
-              EdgeTarget(_E, _ES), PathAtom(_V, _W, _ES, _V), Coverable(0)]
+              EdgeTarget(_E, _ES), PathAtom(_V, _W, _ES, _V), Equal(_VS, _VS), Equal(_V, _E),
+              Coverable(0)]
 
 
 def _outcome(fn, phi):
