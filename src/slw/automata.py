@@ -10,8 +10,10 @@ States are the integers 0..n-1 in the order a construction discovers them,
 with the initial state 0, and each state keeps its out-edges as a list in the
 order they were generated. Every construction is one call of `explore`, so
 output, `.aut` text included, is deterministic by construction: nothing is
-ordered by hash or by `repr`. Every exploration is capped by
-`RunConfig.max_states`, and the ResourceError names the construction.
+ordered by hash or by `repr`. `sequences` is the one construction of the
+gluing rule of unit decompositions, with a caller's step beside it. Every
+exploration is capped by `RunConfig.max_states`, and the ResourceError names
+the construction.
 
 Automata are immutable and Boolean operations return fresh automata. Nothing
 is memoized on an automaton but its per-state successor index. A difference
@@ -419,6 +421,38 @@ def explore(start, expand, is_final, c: int, labels: Sequence, alphabet: Sequenc
                               saturated, transitively_reduced)
 
 
+def sequences(c: int, labels: Sequence, alphabet: Sequence, start, step, accepting, *,
+              name: str, config: RunConfig = DEFAULT_CONFIG, **flags) -> SliceAutomaton:
+    """The unit decompositions a phase machine accepts: the one construction
+    of the gluing rule. A state is (started, frontier width, phase), from
+    (False, 0, start). At width k it reads the letters with k in-ports, in
+    alphabet order, and a letter leads to (True, its out-port count, p) for
+    each phase p in `step(phase, letter)`. It accepts once started, at width
+    0, in a phase that `accepting` holds. `step` must not read the letter's
+    label: it runs once per state and label-blind letter (its base's edges,
+    and its marks if it is annotated), and every label shares the result.
+    """
+    blind, by_width = {}, {}   # in-port count -> (letter, label-blind id, out-port count)
+    for s in alphabet:
+        base = letter_base(s)
+        i = blind.setdefault((base.edges, getattr(s, "marks", None)), len(blind))
+        by_width.setdefault(base.n_in, []).append((s, i, base.n_out))
+
+    def expand(state):
+        _, width, phase = state
+        shared = {}   # label-blind id -> the targets of every letter with it
+        for s, i, n_out in by_width.get(width, ()):
+            targets = shared.get(i)
+            if targets is None:
+                targets = shared[i] = [(True, n_out, p) for p in step(phase, s)]
+            for target in targets:
+                yield s, target
+
+    return explore((False, 0, start), expand,
+                   lambda state: state[0] and state[1] == 0 and accepting(state[2]),
+                   c, labels, alphabet, name=name, config=config, **flags)
+
+
 # -- Boolean operations ------------------------------------------------------------
 
 
@@ -623,12 +657,5 @@ def valid_sequences(c: int, labels: Sequence) -> SliceAutomaton:
     width-c-coverable partial orders.
     """
     labels = tuple(labels)
-    alphabet = unit_alphabet(c, labels)
-    start = "start"
-    trans = []
-    for s in alphabet:
-        src = start if s.n_in == 0 else f"w{s.n_in}"
-        trans.append((src, s, f"w{s.n_out}"))
-        if s.n_in == 0:
-            trans.append((f"w0", s, f"w{s.n_out}"))
-    return SliceAutomaton(c, labels, alphabet, start, {"w0"}, trans).trim()
+    return sequences(c, labels, unit_alphabet(c, labels), None, lambda phase, s: (None,),
+                     lambda phase: True, name="valid sequences")

@@ -7,25 +7,26 @@ edges born at the letter (an edge is born where its source vertex is the
 center). Marks of open edges do not travel on frontiers; the primitive
 automata that need them track marked open channels in their states instead.
 
-The induction: atoms become primitive automata intersected with the
-well-formed language (valid letter sequences with exactly-one marks per
-first-order variable); conjunction and disjunction move both sides to the
-union of their contexts (`cylindrify`) and become product and union;
-negation is complement relative to the well-formed language; an existential
-quantifier marks its variable, then projects the mark away. Equality is one
-letter filter: equal marks on every letter. A closed subformula compiles over
-the bare unit alphabet wherever it occurs, and shadowing needs no renaming:
-the free variable of a body is always its innermost binder's.
+The induction: atoms become primitive automata of well-formed words (valid
+letter sequences with exactly-one marks per first-order variable): letter
+filters of the well-formed language, trackers that count the marks
+themselves, and the summary automata intersected with it; conjunction and
+disjunction move both sides to the union of their contexts (`cylindrify`)
+and become product and union; negation is complement relative to the
+well-formed language; an existential quantifier marks its variable, then
+projects the mark away. Equality is one letter filter: equal marks on every
+letter. A closed subformula compiles over the bare unit alphabet wherever it
+occurs, and shadowing needs no renaming: the free variable of a body is
+always its innermost binder's.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from operator import add
 from typing import NamedTuple, Sequence
 
-from .automata import SliceAutomaton, difference, explore, intersect, letter_base, union
+from .automata import SliceAutomaton, difference, intersect, letter_base, sequences, union
 from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
 from . import mso
 from .mso import (And, Coverable, EdgeSource, EdgeTarget, Equal, Exists, HasLabel, InSet,
@@ -82,32 +83,8 @@ def annotated_alphabet(c: int, labels: tuple, sorts: tuple) -> tuple:
 def well_formed(c: int, labels: tuple, sorts: tuple,
                 config: RunConfig = DEFAULT_CONFIG) -> SliceAutomaton:
     """Valid letter sequences in which every first-order variable is marked
-    exactly once across the word."""
-    alphabet = annotated_alphabet(c, labels, sorts)
-    fo = [i for i, sort in enumerate(sorts) if sort in (VERTEX, EDGE)]
-    by_width = {}
-    for s in alphabet:
-        marks = tuple(int(s.marks[i]) if sorts[i] == VERTEX else len(s.marks[i]) for i in fo)
-        by_width.setdefault(letter_base(s).n_in, []).append((s, marks))
-    start = ("start",)
-
-    def expand(state):
-        k, counts = (0, (0,) * len(fo)) if state == start else state
-        for s, marks in by_width.get(k, ()):
-            new = tuple(map(add, counts, marks))
-            if all(m <= 1 for m in new):
-                yield s, (letter_base(s).n_out, new)
-
-    return explore(start, expand,
-                   lambda st: st != start and st[0] == 0 and all(m == 1 for m in st[1]),
-                   c, labels, alphabet, name="well-formed language", config=config).trim()
-
-
-def _by_width(alphabet: tuple) -> dict:
-    by_width = {}
-    for s in alphabet:
-        by_width.setdefault(letter_base(s).n_in, []).append(s)
-    return by_width
+    exactly once across the word: the tracker that watches nothing else."""
+    return _tracker(c, labels, sorts, lambda phase, s: "done", "well-formed language", config)
 
 
 def _filter_letters(auto: SliceAutomaton, pred) -> SliceAutomaton:
@@ -141,23 +118,27 @@ def cylindrify(auto: SliceAutomaton, c: int, labels: tuple, frm: tuple, to: tupl
 # -- primitive automata for the stateful atoms -------------------------------------
 
 
-def _tracker(c: int, labels: tuple, ctx: tuple, step, name: str,
+def _tracker(c: int, labels: tuple, sorts: tuple, step, name: str,
              config: RunConfig) -> SliceAutomaton:
-    """The automaton of a phase machine read over the annotated letters:
-    `step(phase, letter)` is the next phase, or None to reject. It starts in
-    phase "pre" and accepts in phase "done" with no channel open."""
-    alphabet = annotated_alphabet(c, labels, _sorts(ctx))
-    by_width = _by_width(alphabet)
+    """The well-formed words a phase machine accepts, over the annotated
+    letters of a context with these sorts: `step(phase, letter)` is the next
+    phase, or None to reject. It starts in phase "pre" and accepts in phase
+    "done". Beside the phase it counts each first-order variable's marks: a
+    second mark rejects, and a word is accepted only with every count at one."""
+    fo = [(i, sort == EDGE) for i, sort in enumerate(sorts) if sort in (VERTEX, EDGE)]
 
-    def expand(state):
-        _, k, phase = state
-        for s in by_width.get(k, ()):
-            nxt = step(phase, s)
-            if nxt is not None:
-                yield s, ("st", s.base.n_out, nxt)
+    def counted(state, s):
+        counts, phase = state
+        counts = tuple(n + (len(s.marks[i]) if edge else s.marks[i])
+                       for n, (i, edge) in zip(counts, fo))
+        if any(n > 1 for n in counts):
+            return ()
+        phase = step(phase, s)
+        return () if phase is None else ((counts, phase),)
 
-    return explore(("start", 0, "pre"), expand, lambda st: st[1] == 0 and st[2] == "done",
-                   c, labels, alphabet, name=name, config=config)
+    return sequences(c, labels, annotated_alphabet(c, labels, sorts), ((0,) * len(fo), "pre"),
+                     counted, lambda state: state[1] == "done" and all(n == 1 for n in state[0]),
+                     name=name, config=config).trim()
 
 
 def _target_tracker(c: int, labels: tuple, ctx: tuple, yvar: Var, xvar: Var,
@@ -180,7 +161,7 @@ def _target_tracker(c: int, labels: tuple, ctx: tuple, yvar: Var, xvar: Var,
             return "done" if s.marks[xpos] else None
         return ("riding", s.base.bypass_map[port])
 
-    return _tracker(c, labels, ctx, step, "edge-target tracker", config)
+    return _tracker(c, labels, _sorts(ctx), step, "edge-target tracker", config)
 
 
 def _path_tracker(c: int, labels: tuple, ctx: tuple,
@@ -214,7 +195,7 @@ def _path_tracker(c: int, labels: tuple, ctx: tuple,
             return ("riding", next(iter(born_y)))
         return None
 
-    return _tracker(c, labels, ctx, step, "path tracker", config)
+    return _tracker(c, labels, _sorts(ctx), step, "path tracker", config)
 
 
 # -- the induction ---------------------------------------------------------------------
@@ -277,10 +258,9 @@ def _compile(phi, c: int, labels: tuple, config: RunConfig) -> SliceAutomaton:
                 return _filter_letters(
                     wf(), lambda s: not (s.marks[yp] and not s.marks[xp]))
             case EdgeTarget(edge=y, vertex=x):
-                return intersect(_target_tracker(c, labels, ctx, y, x, config), wf(), config)
+                return _target_tracker(c, labels, ctx, y, x, config)
             case PathAtom(src=a, vset=x, eset=y, dst=b):
-                return intersect(_path_tracker(c, labels, ctx, a, x, y, b, config), wf(),
-                                 config)
+                return _path_tracker(c, labels, ctx, a, x, y, b, config)
             case Reduced():
                 return intersect(reduced_automaton(c, labels, config), wf(), config)
             case Coverable(count=k):

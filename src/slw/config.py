@@ -83,15 +83,17 @@ class RunConfig(Record):
     loudly instead of hanging.
     """
 
-    __slots__ = ("max_states", "max_enum_vertices", "max_enum_edges")
+    __slots__ = ("max_states", "max_enum_vertices")
 
     def __init__(self,
                  max_states: int = 10**6,         # states of any one construction
-                 max_enum_vertices: int = 6,      # enumeration oracles: largest DAG/poset
-                 max_enum_edges: int = 10):
-        super().__init__(max_states, max_enum_vertices, max_enum_edges)
-        if min(self.max_states, self.max_enum_vertices, self.max_enum_edges) <= 0:
+                 max_enum_vertices: int = 6):     # enumeration oracles: largest DAG/poset
+        super().__init__(max_states, max_enum_vertices)
+        if min(self.max_states, self.max_enum_vertices) <= 0:
             raise InputError("all caps must be positive")
 
 
 DEFAULT_CONFIG = RunConfig()
+
+# enumeration oracles: the most edges of a DAG they expand
+MAX_ENUM_EDGES = 10

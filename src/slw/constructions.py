@@ -5,7 +5,8 @@ channels share a source vertex (classes), which sources reach which by at
 least one edge (a transitively closed, acyclic relation), and, where path
 covering matters, how a budget of path slots rides the channels. Everything
 a construction verifies at the closure of a channel is derivable from this
-summary, which keeps the state space finite.
+summary, which keeps the state space finite. The reduced, coverable and
+universal automata are `automata.sequences` over these summaries.
 """
 
 from __future__ import annotations
@@ -14,11 +15,9 @@ import itertools
 from functools import lru_cache
 from typing import Optional
 
-from .automata import SliceAutomaton, difference, explore, includes, letter_base
+from .automata import SliceAutomaton, difference, explore, includes, letter_base, sequences
 from .config import DEFAULT_CONFIG, InputError, PreconditionError, RunConfig
 from .slices import Slice, unit_alphabet, unit_decompositions, unit_slice
-
-START = "start"   # the tag of the initial summary, which is never final
 
 
 class _Frontier:
@@ -145,44 +144,26 @@ def universal_automaton(c: int, labels: tuple,
 
 def _summary_automaton(c: int, labels: tuple, name: str, hasse: bool,
                        budget: Optional[int], config: RunConfig, **flags) -> SliceAutomaton:
-    """The automaton over frontier summaries (tag, channels, reach, slots).
+    """`sequences` over frontier summaries (channels, reach, slots).
 
     With `hasse`, letters that close a transitive or parallel edge are
     rejected, which needs the reach relation; without it the stored reach
     stays empty. With a budget, that many path slots ride the channels;
-    without one the slots stay empty and unchecked.
-
-    A state's frontier step reads a letter's ports, never its label, so it is
-    computed once per letter shape (`letter.edges`) and shared by the |T|
-    letters of that shape; out-edges keep the alphabet order.
+    without one the slots stay empty and unchecked. The frontier step reads a
+    letter's ports, never its label.
     """
-    alphabet = unit_alphabet(c, labels)
-    groups = {}
-    for s in alphabet:
-        groups.setdefault(s.n_in, []).append(s)
-
-    def expand(state):
-        _, channels, reach, slots = state
-        by_shape = {}   # letter.edges -> the targets of every letter of that shape
-        for letter in groups.get(len(channels), ()):
-            targets = by_shape.get(letter.edges)
-            if targets is None:
-                targets = by_shape[letter.edges] = frontier_step(channels, reach, slots, letter)
-            for target in targets:
-                yield letter, target
-
-    def frontier_step(channels, reach, slots, letter):
+    def step(summary, letter):
+        channels, reach, slots = summary
         fr = _Frontier(channels, reach, letter)
         if hasse and not fr.hasse_ok():
             return ()
         new_reach = fr.new_reach if hasse else frozenset()
         slot_choices = ((),) if budget is None else _slot_assignments(slots, fr)
-        return [(name, fr.new_channels, new_reach, new_slots) for new_slots in slot_choices]
+        return [(fr.new_channels, new_reach, new_slots) for new_slots in slot_choices]
 
     init_slots = () if budget is None else ("u",) * budget
-    return explore((START, (), frozenset(), init_slots), expand,
-                   lambda state: state[0] != START and state[1] == (),
-                   c, labels, alphabet, name=name, config=config, **flags)
+    return sequences(c, labels, unit_alphabet(c, labels), ((), frozenset(), init_slots), step,
+                     lambda summary: True, name=name, config=config, **flags)
 
 
 def transitive_reduce_automaton(a: SliceAutomaton,

@@ -24,7 +24,7 @@ import re
 from functools import reduce
 from typing import Iterator, NamedTuple, Optional
 
-from .config import DEFAULT_CONFIG, InputError, Record, ResourceError, RunConfig
+from .config import DEFAULT_CONFIG, MAX_ENUM_EDGES, InputError, Record, ResourceError, RunConfig
 from .dag import LabeledDag, LabeledPoset
 
 VERTEX, EDGE, VSET, ESET = "vertex", "edge", "vset", "eset"
@@ -396,9 +396,9 @@ def evaluate_dag(dag: LabeledDag, phi, env: Optional[dict] = None,
     if not is_graph_formula(phi):
         raise InputError("evaluate_dag needs a graph formula (no order atoms)")
     check_sorts(phi)
-    if dag.n_vertices() > config.max_enum_vertices or len(dag.edges) > config.max_enum_edges:
+    if dag.n_vertices() > config.max_enum_vertices or len(dag.edges) > MAX_ENUM_EDGES:
         raise ResourceError("DAG too large for quantifier expansion",
-                            context=f"caps {config.max_enum_vertices}/{config.max_enum_edges}")
+                            context=f"caps {config.max_enum_vertices}/{MAX_ENUM_EDGES}")
     return _eval(phi, _bind(phi, env), dag)
 
 

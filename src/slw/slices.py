@@ -17,7 +17,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
+from .config import DEFAULT_CONFIG, MAX_ENUM_EDGES, InputError, ResourceError, RunConfig
 from .dag import LabeledDag
 
 
@@ -308,11 +308,11 @@ def unit_decompositions(h: LabeledDag, c: int,
     frontier, a bijection from the open edges crossing it to port numbers;
     the enumeration ranges over both.
     """
-    if h.n_vertices() > config.max_enum_vertices or len(h.edges) > config.max_enum_edges:
+    if h.n_vertices() > config.max_enum_vertices or len(h.edges) > MAX_ENUM_EDGES:
         raise ResourceError(
             f"DAG too large for decomposition enumeration "
             f"({h.n_vertices()} vertices, {len(h.edges)} edges)",
-            context=f"caps {config.max_enum_vertices}/{config.max_enum_edges}")
+            context=f"caps {config.max_enum_vertices}/{MAX_ENUM_EDGES}")
     orderings = [tuple(ordering)] if ordering is not None else list(h.topological_orderings())
     out = []
     for omega in orderings:

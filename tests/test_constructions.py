@@ -90,8 +90,8 @@ def _reference_summary_automaton(c, labels, name, hasse, budget, **flags):
                 yield letter, (name, fr.new_channels, new_reach, new_slots)
 
     init_slots = () if budget is None else ("u",) * budget
-    return explore((constructions.START, (), frozenset(), init_slots), expand,
-                   lambda state: state[0] != constructions.START and state[1] == (),
+    return explore(("start", (), frozenset(), init_slots), expand,
+                   lambda state: state[0] != "start" and state[1] == (),
                    c, labels, alphabet, name=name, **flags)
 
 

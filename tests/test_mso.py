@@ -141,8 +141,7 @@ class TestRecords:
         assert hash(RunConfig()) == hash(DEFAULT_CONFIG)
         assert RunConfig(max_states=5) != DEFAULT_CONFIG
         assert RunConfig(max_states=5).max_enum_vertices == DEFAULT_CONFIG.max_enum_vertices
-        assert repr(DEFAULT_CONFIG) == ("RunConfig(max_states=1000000, max_enum_vertices=6, "
-                                        "max_enum_edges=10)")
+        assert repr(DEFAULT_CONFIG) == "RunConfig(max_states=1000000, max_enum_vertices=6)"
         with pytest.raises(InputError, match="positive"):
             RunConfig(max_states=0)
 
