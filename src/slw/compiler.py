@@ -149,8 +149,6 @@ def _target_tracker(c: int, labels: tuple, ctx: tuple, yvar: Var, xvar: Var,
     def step(phase, s):
         ymarks = s.marks[ypos]
         if phase == "pre":
-            if len(ymarks) > 1:
-                return None
             return ("riding", next(iter(ymarks))) if ymarks else "pre"
         if ymarks:
             return None

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict, deque
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .config import InputError
-
-Vertex = Hashable
 
 
 class LabeledDag:
@@ -347,7 +345,7 @@ def dags_isomorphic(a: LabeledDag, b: LabeledDag) -> bool:
     return a.canonical_key() == b.canonical_key()
 
 
-def all_dags(n: int, labels: Sequence, max_edges: int | None = None) -> Iterator[LabeledDag]:
+def all_dags(n: int, labels: Sequence) -> Iterator[LabeledDag]:
     """All labeled simple DAGs on vertices 0..n-1 with edges respecting 0<1<...<n-1.
 
     Every isomorphism class of simple DAGs appears (possibly repeatedly, under
@@ -357,7 +355,5 @@ def all_dags(n: int, labels: Sequence, max_edges: int | None = None) -> Iterator
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for edge_bits in range(1 << len(pairs)):
         edges = [pairs[k] for k in range(len(pairs)) if (edge_bits >> k) & 1]
-        if max_edges is not None and len(edges) > max_edges:
-            continue
         for labeling in itertools.product(labels, repeat=n):
             yield LabeledDag({i: labeling[i] for i in range(n)}, edges)

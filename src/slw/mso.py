@@ -9,10 +9,14 @@ biconditional are parser macros over the minimal connective set; `rho`
 `path(x1,X,Y,x2)` are builtin atoms with equivalent pure encodings.
 
 Each atom is declared once, in `SIGNATURES`: the sorts its variables may
-take, whether it speaks about edges, and its name in the concrete syntax.
-The queries, `check_sorts` (which also rejects a binder of none of the four
-sorts), the parser and the printer read it. Labels are a set: a repeated
-label is an input error, and label order changes no alphabet.
+take, whether it speaks about edges, and its spelling, an infix operator or
+a name. The queries, `check_sorts` (which also rejects a binder of none of
+the four sorts), the parser and the printer read it. The parser and the
+printer also share one table of the binary connectives, `_BINARY`, with
+their precedence and associativity. The parser checks the sorts of a named
+atom's variables as it reads them; those of an infix atom are `check_sorts`'
+to judge. Labels are a set: a repeated label is an input error, and label
+order changes no alphabet.
 
 The evaluators are deliberate brute-force oracles: they expand quantifiers
 over the finite structure and are meant for desk-scale cross-checking.
@@ -130,31 +134,35 @@ Formula = object
 
 class Signature(Record):
     """An atom's declaration. Its variables are its first fields, as many as
-    each tuple in `sorts` holds."""
-    __slots__ = ("sorts", "graph", "call", "error")
-    sorts: tuple          # the sort tuples its variables may take, in field order
-    graph: bool           # speaks about edges: no order formula holds it
-    call: Optional[str]   # its name when written name(var,...,var)
-    error: str            # check_sorts' message; {0}, {1} name its variables
+    each tuple in `sorts` holds; a field after them is read by its annotated
+    kind: `str` is any token, `int` a decimal numeral."""
+    __slots__ = ("sorts", "graph", "spelling", "infix", "error")
+    sorts: tuple              # the sort tuples its variables may take, in field order
+    graph: bool               # speaks about edges: no order formula holds it
+    spelling: Optional[str]   # its operator or its name; None for true/false
+    infix: bool               # written var op var, else name(field,...,field) or bare
+    error: str                # check_sorts' message ({0}, {1} name its variables),
+                              # or the parser's for a malformed numeral
 
 
 _ST_ERROR = "s/t atoms need (edge, vertex) arguments: {0}, {1}"
 
 SIGNATURES = {
-    Truth: Signature(((),), False, None, ""),
-    InSet: Signature(((VERTEX, VSET), (EDGE, ESET)), False, None,
-                     "ill-sorted membership: {0} in {1}"),
-    Less: Signature(((VERTEX, VERTEX),), False, None,
+    Truth: Signature(((),), False, None, False, ""),
+    Less: Signature(((VERTEX, VERTEX),), False, "<", True,
                     "order atom needs vertex variables: {0} < {1}"),
-    Equal: Signature(((VERTEX, VERTEX), (EDGE, EDGE)), False, None,
+    Equal: Signature(((VERTEX, VERTEX), (EDGE, EDGE)), False, "=", True,
                      "equality needs two first-order variables of one sort: {0} = {1}"),
-    HasLabel: Signature(((VERTEX,),), False, None, "label atom needs a vertex variable: {0}"),
-    EdgeSource: Signature(((EDGE, VERTEX),), True, "s", _ST_ERROR),
-    EdgeTarget: Signature(((EDGE, VERTEX),), True, "t", _ST_ERROR),
-    PathAtom: Signature(((VERTEX, VSET, ESET, VERTEX),), True, "path",
+    InSet: Signature(((VERTEX, VSET), (EDGE, ESET)), False, "in", True,
+                     "ill-sorted membership: {0} in {1}"),
+    HasLabel: Signature(((VERTEX,),), False, "l", False,
+                        "label atom needs a vertex variable: {0}"),
+    EdgeSource: Signature(((EDGE, VERTEX),), True, "s", False, _ST_ERROR),
+    EdgeTarget: Signature(((EDGE, VERTEX),), True, "t", False, _ST_ERROR),
+    PathAtom: Signature(((VERTEX, VSET, ESET, VERTEX),), True, "path", False,
                         "path atom needs (vertex, vertex-set, edge-set, vertex)"),
-    Reduced: Signature(((),), True, None, ""),
-    Coverable: Signature(((),), True, None, ""),
+    Reduced: Signature(((),), True, "rho", False, ""),
+    Coverable: Signature(((),), True, "gamma", False, "gamma(c) needs a numeral"),
 }
 
 # -- convenience constructors (macros share these) ---------------------------------
@@ -487,7 +495,17 @@ def _check_path(dag: LabeledDag, src, vset, eset, dst) -> bool:
 
 _TOKEN_RE = re.compile(r"\s*(<->|->|[()\.,&|!<=]|:e|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|\S)")
 _KEYWORDS = {"EX", "ALL", "in", "true", "false", "rho", "gamma", "path"}
-_CALLS = {sig.call: cls for cls, sig in SIGNATURES.items() if sig.call}
+_NAMED = {sig.spelling: cls for cls, sig in SIGNATURES.items() if sig.spelling and not sig.infix}
+_INFIX = {sig.spelling: cls for cls, sig in SIGNATURES.items() if sig.infix}
+
+# the binary connectives, loosest first: token -> (precedence, builder, right-associative);
+# `!`, the quantifiers and the atoms bind tighter than all of them
+_BINARY = {"<->": (0, iff, False), "->": (1, implies, True), "|": (2, Or, False),
+           "&": (3, And, False)}
+_UNARY = len(_BINARY)
+# `->` and `<->` are macros, so only the connectives that are nodes are printed
+_PRINTED = {build: (tok, prec, right) for tok, (prec, build, right) in _BINARY.items()
+            if isinstance(build, type)}
 
 
 class _Parser:
@@ -514,33 +532,14 @@ class _Parser:
         self.i += 1
         return tok
 
-    # precedence: <-> < -> < | < & < ! / quantifiers / atoms
-    def formula(self):
-        left = self.implication()
-        while self.peek() == "<->":
-            self.take()
-            left = iff(left, self.implication())
-        return left
-
-    def implication(self):
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.take()
-            return implies(left, self.implication())
-        return left
-
-    def disjunction(self):
-        left = self.conjunction()
-        while self.peek() == "|":
-            self.take()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self):
+    def formula(self, min_prec: int = 0):
+        """Precedence climbing: a unary formula, then every binary connective
+        of precedence at least min_prec, each with its right operand."""
         left = self.unary()
-        while self.peek() == "&":
+        while (op := _BINARY.get(self.peek())) is not None and op[0] >= min_prec:
+            prec, build, right = op
             self.take()
-            left = And(left, self.unary())
+            left = build(left, self.formula(prec if right else prec + 1))
         return left
 
     def unary(self):
@@ -580,52 +579,43 @@ class _Parser:
         if tok in ("true", "false"):
             self.take()
             return Truth(tok == "true")
-        if tok == "rho":
+        cls = _NAMED.get(tok)
+        if cls is not None and (tok in _KEYWORDS or self.peek(1) == "("):
             self.take()
-            return Reduced()
-        if tok == "gamma":
-            self.take()
-            self.take("(")
-            num = self.take()
-            if not num.isdecimal():
-                self.error("gamma(c) needs a numeral")
-            self.take(")")
-            return Coverable(int(num))
-        if tok == "l" and self.peek(1) == "(":
-            self.take()
-            self.take("(")
-            v = self.variable(VERTEX)
-            self.take(",")
-            lab = self.take()
-            self.take(")")
-            return HasLabel(v, lab)
-        if tok in _CALLS and (tok in _KEYWORDS or self.peek(1) == "("):
-            cls = _CALLS[self.take()]
-            self.take("(")
-            args = []
-            for sort in SIGNATURES[cls].sorts[0]:
-                if args:
-                    self.take(",")
-                args.append(self.variable(sort))
-            self.take(")")
-            return cls(*args)
-        # variable-led atoms: x < y, x = y, x in X
-        a = self.variable(None)
-        op = self.peek()
-        if op == "<":
-            self.take()
-            b = self.variable(VERTEX)
-            if a.sort != VERTEX:
-                self.error(f"{a.name} must be a vertex variable in an order atom")
-            return Less(a, b)
-        if op == "=":
-            self.take()
-            return Equal(a, self.variable(None))
-        if op == "in":
-            self.take()
-            coll = self.variable(VSET if a.sort == VERTEX else ESET)
-            return InSet(a, coll)
-        self.error(f"expected '<', '=' or 'in' after variable {a.name!r}")
+            return cls(*self.fields(cls))
+        # infix atoms: check_sorts judges their sorts
+        left = self.variable(None)
+        cls = _INFIX.get(self.peek())
+        if cls is None:
+            ops = list(map(repr, _INFIX))
+            self.error(f"expected {', '.join(ops[:-1])} or {ops[-1]} "
+                       f"after variable {left.name!r}")
+        self.take()
+        return cls(left, self.variable(None))
+
+    def fields(self, cls) -> list:
+        """A named atom's fields, in parentheses unless it has none: its
+        variables, of the sorts its signature gives, then the rest by kind."""
+        sig, names = SIGNATURES[cls], cls.__match_args__
+        if not names:
+            return []
+        sorts = sig.sorts[0]
+        self.take("(")
+        values = []
+        for i, field in enumerate(names):
+            if i:
+                self.take(",")
+            if i < len(sorts):
+                values.append(self.variable(sorts[i]))
+                continue
+            tok = self.take()
+            if cls.__annotations__[field] == "int":
+                if not tok.isdecimal():
+                    self.error(sig.error)
+                tok = int(tok)
+            values.append(tok)
+        self.take(")")
+        return values
 
     def name(self) -> str:
         name = self.take()
@@ -662,41 +652,30 @@ def to_text(phi) -> str:
     return _print(phi, 0)
 
 
-_PREC = {"iff": 0, "imp": 1, "or": 2, "and": 3, "unary": 4}
-
-
 def _print(phi, prec: int) -> str:
-    match phi:
-        case Truth(value=v):
-            return "true" if v else "false"
-        case InSet(elem=e, coll=c):
-            return _wrap(f"{e.name} in {c.name}", 4, prec)
-        case Less(left=a, right=b):
-            return _wrap(f"{a.name} < {b.name}", 4, prec)
-        case Equal(left=a, right=b):
-            return _wrap(f"{a.name} = {b.name}", 4, prec)
-        case HasLabel(vertex=v, label=lab):
-            return f"l({v.name},{lab})"
-        case EdgeSource() | EdgeTarget() | PathAtom():
-            names = ",".join(v.name for v in _variables(phi))
-            return f"{SIGNATURES[phi.__class__].call}({names})"
-        case Reduced():
-            return "rho"
-        case Coverable(count=c):
-            return f"gamma({c})"
-        case Not(body=b):
-            return _wrap("!" + _print(b, _PREC["unary"]), _PREC["unary"], prec)
-        case And(left=a, right=b):
-            # left-associative in the grammar: right-nested trees keep parens
-            s = f"{_print(a, _PREC['and'])} & {_print(b, _PREC['and'] + 1)}"
-            return _wrap(s, _PREC["and"], prec)
-        case Or(left=a, right=b):
-            s = f"{_print(a, _PREC['or'])} | {_print(b, _PREC['or'] + 1)}"
-            return _wrap(s, _PREC["or"], prec)
-        case Exists(var=v, body=b):
-            suffix = ":e" if v.sort in (EDGE, ESET) else ""
-            return _wrap(f"EX {v.name}{suffix}. {_print(b, 0)}", 0, prec)
-    raise InputError(f"not a formula node: {phi!r}")
+    cls = phi.__class__
+    if cls is Truth:
+        return "true" if phi.value else "false"
+    if cls is Not:
+        return "!" + _print(phi.body, _UNARY)
+    if cls is Exists:
+        suffix = ":e" if phi.var.sort in (EDGE, ESET) else ""
+        return _wrap(f"EX {phi.var.name}{suffix}. {_print(phi.body, 0)}", 0, prec)
+    if cls in _PRINTED:
+        tok, own, right = _PRINTED[cls]
+        # only the operand on the associative side may hold the same connective bare
+        left_prec, right_prec = (own + 1, own) if right else (own, own + 1)
+        s = f"{_print(phi.left, left_prec)} {tok} {_print(phi.right, right_prec)}"
+        return _wrap(s, own, prec)
+    sig = SIGNATURES.get(cls)
+    if sig is None:
+        raise InputError(f"not a formula node: {phi!r}")
+    variables = _variables(phi)
+    fields = [v.name for v in variables] + [str(getattr(phi, f))
+                                            for f in cls.__match_args__[len(variables):]]
+    if sig.infix:
+        return f"{fields[0]} {sig.spelling} {fields[1]}"
+    return sig.spelling + (f"({','.join(fields)})" if fields else "")
 
 
 def _wrap(s: str, node_prec: int, ctx_prec: int) -> str:

@@ -102,9 +102,8 @@ def _firings(runs: tuple, letter, take: tuple, put: tuple, bound: int, causal: b
         if not k <= sum(cnt for _, cnt in run) <= bound + k - p:
             return
         # a produced token is consumable only where its producer precedes the center
-        choices = [combo for combo in _multiset_choices(run, k)
-                   if all(initial or not closing.isdisjoint(succ)
-                          for (initial, succ, _), _ in combo)]
+        choices = list(_multiset_choices([(cls, cnt) for cls, cnt in run
+                                          if cls[0] or not closing.isdisjoint(cls[1])], k))
         if not choices:
             return
         per_place.append(choices)

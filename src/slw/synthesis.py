@@ -74,15 +74,9 @@ class VerificationReport:
                  f"spec-subset-of-net {str(self.spec_subset_of_net).lower()}"]
         for which in sorted(self.counterexamples):
             lines.append(f"counterexample {which}")
-            for ln in _poset_text(self.counterexamples[which]).splitlines():
+            for ln in self.counterexamples[which].as_dag().to_text().splitlines():
                 lines.append("  " + ln)
         return "\n".join(lines) + "\n"
-
-
-def _poset_text(po: LabeledPoset) -> str:
-    lines = [f"vertex {v} {po.labels[v]}" for v in sorted(po.labels)]
-    lines += [f"edge {u} {v}" for u, v in sorted(po.order)]
-    return "\n".join(lines)
 
 
 class ProofLog:
@@ -293,7 +287,7 @@ def synth_from_contract(phi_yes: Formula, phi_no: Formula, labels: Sequence,
     if overlap is not None:
         raise PreconditionError(
             "contract overlap: the good and bad languages share a poset:\n"
-            + _poset_text(_witness_poset(overlap)))
+            + _witness_poset(overlap).as_dag().to_text().rstrip("\n"))
     if log:
         log.step("contract languages disjoint",
                  "syntactic disjointness of saturated reduced automata", True)

@@ -1,5 +1,6 @@
-"""No dead definitions: every function and class defined in `src/slw` is
-referenced by name somewhere in the repository's code."""
+"""No dead definitions: every function and class defined in `src/slw`, and
+every name a module of it assigns at top level, is read by name somewhere in
+the repository's code."""
 
 import ast
 import re
@@ -9,16 +10,27 @@ ROOT = Path(__file__).resolve().parent.parent
 READ = ("src", "tests", "demos", "perfbench")
 
 
-def _definitions(tree: ast.AST):
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree: ast.Module):
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")):
+            if not _dunder(node.name):
                 yield node.name
+    for stmt in tree.body:  # module-level assignments
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name) and not _dunder(node.id):
+                    yield node.id
 
 
 def _references(tree: ast.AST):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
         elif isinstance(node, ast.Attribute):
             yield node.attr

@@ -76,7 +76,7 @@ class TestParser:
         free = {"y": "edge", "x": "vertex", "X": "vset", "Y": "eset", "z": "vertex"}
         for text in ("s(y,x)", "t(y,x)", "path(x,X,Y,z)"):
             atom = parse(text, free=free)
-            assert SIGNATURES[type(atom)].call == text.split("(")[0]
+            assert SIGNATURES[type(atom)].spelling == text.split("(")[0]
             assert to_text(atom) == text
         with pytest.raises(InputError, match="has sort vertex, expected edge"):
             parse("s(x,x)", free=free)
