@@ -254,27 +254,25 @@ class SliceAutomaton:
         return _walk(self, None, lambda k, s: (k,), lambda k: False, config,
                      name="shortest word")
 
-    def po_members_up_to(self, n: int,
-                         config: RunConfig = DEFAULT_CONFIG) -> list[LabeledPoset]:
-        """Posets of accepted decompositions with <= n slices, up to isomorphism."""
+    def _member_dags(self, n: int, config: RunConfig) -> Iterator[LabeledDag]:
+        """The composed DAG of each distinct accepted word of base letters with
+        <= n slices, in enumeration order."""
         if n > config.max_enum_vertices:
             raise ResourceError(f"member enumeration beyond cap: {n}",
                                 context=f"max_enum_vertices={config.max_enum_vertices}")
         words = dict.fromkeys(tuple(letter_base(s) for s in w)
                               for w in self.enumerate_words(n))
-        return dedup_posets(compose(UnitDecomposition(w)).transitive_closure() for w in words)
+        return (compose(UnitDecomposition(w)) for w in words)
+
+    def po_members_up_to(self, n: int,
+                         config: RunConfig = DEFAULT_CONFIG) -> list[LabeledPoset]:
+        """Posets of accepted decompositions with <= n slices, up to isomorphism."""
+        return dedup_posets(g.transitive_closure() for g in self._member_dags(n, config))
 
     def graph_members_up_to(self, n: int,
                             config: RunConfig = DEFAULT_CONFIG) -> list[LabeledDag]:
-        """Composed DAGs of accepted decompositions with <= n slices (deduplicated)."""
-        if n > config.max_enum_vertices:
-            raise ResourceError(f"member enumeration beyond cap: {n}",
-                                context=f"max_enum_vertices={config.max_enum_vertices}")
-        by_key = {}
-        for w in self.enumerate_words(n):
-            g = compose(UnitDecomposition(tuple(letter_base(s) for s in w)))
-            by_key.setdefault(g.canonical_key(), g)
-        return [by_key[k] for k in sorted(by_key)]
+        """Composed DAGs of accepted decompositions with <= n slices, up to isomorphism."""
+        return dedup_posets(self._member_dags(n, config))
 
     # -- determinization ------------------------------------------------------------------
 
@@ -329,7 +327,7 @@ class SliceAutomaton:
         reduced = None
         for tok in header.split()[1:]:
             if tok.startswith("c="):
-                if not tok[2:].isdigit():
+                if not tok[2:].isdecimal():
                     raise InputError(f"line {n}: bad width in {tok!r}")
                 c = int(tok[2:])
             elif tok.startswith("alphabet="):

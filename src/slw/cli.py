@@ -178,10 +178,7 @@ def _emit_net(net, args) -> int:
 
 
 def _labels(arg: str) -> tuple:
-    labels = tuple(x for x in arg.split(",") if x)
-    if not labels:
-        raise InputError("empty alphabet")
-    return labels
+    return tuple(arg.split(","))  # unit_alphabet judges them
 
 
 def _cmd_verify(args, config, log) -> int:

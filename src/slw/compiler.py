@@ -10,14 +10,15 @@ automata that need them track marked open channels in their states instead.
 The induction: atoms become primitive automata of well-formed words (valid
 letter sequences with exactly-one marks per first-order variable): letter
 filters of the well-formed language, trackers that count the marks
-themselves, and the summary automata intersected with it; conjunction and
-disjunction move both sides to the union of their contexts (`cylindrify`)
-and become product and union; negation is complement relative to the
-well-formed language; an existential quantifier marks its variable, then
-projects the mark away. Equality is one letter filter: equal marks on every
-letter. A closed subformula compiles over the bare unit alphabet wherever it
-occurs, and shadowing needs no renaming: the free variable of a body is
-always its innermost binder's.
+themselves, and the summary automata of the closed atoms `rho` and
+`gamma(k)` as they are (their well-formed language is every valid sequence);
+conjunction and disjunction move both sides to the union of their contexts
+(`cylindrify`) and become product and union; negation is complement relative
+to the well-formed language; an existential quantifier marks its variable,
+then projects the mark away. Equality is one letter filter: equal marks on
+every letter. A closed subformula compiles over the bare unit alphabet
+wherever it occurs, and shadowing needs no renaming: the free variable of a
+body is always its innermost binder's.
 """
 
 from __future__ import annotations
@@ -234,10 +235,7 @@ def _compile(phi, c: int, labels: tuple, config: RunConfig) -> SliceAutomaton:
     try:
         match phi:
             case Truth(value=v):
-                if v:
-                    return wf()
-                base = wf()
-                return SliceAutomaton(c, labels, base.alphabet, base.initial, (), ())
+                return _filter_letters(wf(), lambda s: v)
             case InSet(elem=e, coll=cl):
                 ep, cp = ctx.index(e), ctx.index(cl)
                 if e.sort == VERTEX:
@@ -259,10 +257,12 @@ def _compile(phi, c: int, labels: tuple, config: RunConfig) -> SliceAutomaton:
                 return _target_tracker(c, labels, ctx, y, x, config)
             case PathAtom(src=a, vset=x, eset=y, dst=b):
                 return _path_tracker(c, labels, ctx, a, x, y, b, config)
+            # a closed atom's well-formed language is every valid sequence,
+            # which holds the summary automaton's language already
             case Reduced():
-                return intersect(reduced_automaton(c, labels, config), wf(), config)
+                return reduced_automaton(c, labels, config)
             case Coverable(count=k):
-                return intersect(coverable_automaton(c, labels, k, config), wf(), config)
+                return coverable_automaton(c, labels, k, config)
             case Not(body=b):
                 return difference(wf(), _compile(b, c, labels, config), config)
             case And(left=a, right=b):

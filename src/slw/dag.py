@@ -333,8 +333,9 @@ def canonical_digraph_key(labels: dict, edges: Iterable[tuple]):
     return best
 
 
-def dedup_posets(posets: Iterable[LabeledPoset]) -> list[LabeledPoset]:
-    """Deduplicate posets up to label-preserving isomorphism (deterministic order)."""
+def dedup_posets(posets: Iterable) -> list:
+    """Deduplicate posets (or DAGs) up to label-preserving isomorphism: the
+    first of each class, in canonical-key order."""
     by_key = {}
     for p in posets:
         by_key.setdefault(p.canonical_key(), p)

@@ -131,7 +131,7 @@ class PtNet:
                 name = parts[1]
                 bound = 1
                 for tok in parts[2:]:
-                    if tok.startswith("bound=") and tok[len("bound="):].isdigit():
+                    if tok.startswith("bound=") and tok[len("bound="):].isdecimal():
                         bound = int(tok[len("bound="):])
                     else:
                         raise InputError(f"line {ln}: unknown or malformed net attribute {tok!r}")
@@ -150,7 +150,7 @@ class PtNet:
                         pname = tok
                         continue
                     key, val = tok.split("=", 1)
-                    if not val.isdigit():
+                    if not val.isdecimal():
                         raise InputError(f"line {ln}: bad count in {tok!r}")
                     val = int(val)
                     if key == "init":
@@ -398,28 +398,18 @@ def executions(net: PtNet, k: int, c: Optional[int] = None,
     return dedup_posets(out)
 
 
-def _extensions_of_order(base: LabeledPoset) -> Iterable[LabeledPoset]:
-    verts = base.vertices
-    missing = [(u, v) for u in verts for v in verts
-               if u != v and (u, v) not in base.order and (v, u) not in base.order]
-    seen = set()
-    for r in range(len(missing) + 1):
-        for extra in itertools.combinations(missing, r):
-            pairs = set(base.order) | set(extra)
-            if any((v, u) in pairs for u, v in pairs):
-                continue
-            ok = True
-            for (a, b2) in list(pairs):
-                for (c2, d) in list(pairs):
-                    if b2 == c2 and (a, d) not in pairs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            po = LabeledPoset(base.labels, pairs, _checked=True)
-            key = frozenset(pairs)
-            if key not in seen:
-                seen.add(key)
-                yield po
+def _extensions_of_order(base: LabeledPoset) -> list[LabeledPoset]:
+    """Every order on base's labeled events that contains base's order.
+
+    An order S above P holds a pair (u, v) that P leaves incomparable, and
+    then the closure of P plus (u, v) lies inside S: so every extension is
+    reached from base by ordering one incomparable pair at a time."""
+    out, seen = [base], {base.order}
+    for po in out:  # out grows while it is read: breadth-first
+        for u, v in itertools.permutations(po.vertices, 2):
+            if (u, v) not in po.order and (v, u) not in po.order:
+                ext = LabeledDag(po.labels, po.order | {(u, v)}).transitive_closure()
+                if ext.order not in seen:
+                    seen.add(ext.order)
+                    out.append(ext)
+    return out

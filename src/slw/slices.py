@@ -266,10 +266,15 @@ def unit_alphabet(c: int, labels: tuple) -> tuple:
         raise InputError("width bound must be >= 1")
     if not labels:
         raise InputError("label set must be nonempty")
+    text = ",".join(map(str, labels))
     if len(set(labels)) != len(labels):
-        raise InputError(f"labels are a set; repeated label in {','.join(map(str, labels))}")
+        raise InputError(f"labels are a set; repeated label in {text}")
     if "" in labels:
-        raise InputError(f"empty label in alphabet {','.join(map(str, labels))!r}")
+        raise InputError(f"empty label in alphabet {text!r}")
+    for lab in labels:
+        if not _LABEL_RE.fullmatch(str(lab)):
+            raise InputError(f"label {lab!r} in alphabet {text!r} is not letters, digits "
+                             "and underscores")
     letters = []
     for n_in in range(c + 1):
         for n_out in range(c + 1):
@@ -364,8 +369,9 @@ def _decompositions_for_ordering(h: LabeledDag, omega: tuple, c: int) -> Iterato
 
 # -- textual slice literals ---------------------------------------------------
 
+_LABEL_RE = re.compile("[A-Za-z0-9_]+")  # what a literal can spell; unit_alphabet's rule
 _LITERAL_RE = re.compile(
-    r"^slice\{in:(\d+); out:(\d+); center:([A-Za-z0-9_]+); edges:(.*)\}$")
+    r"^slice\{in:(\d+); out:(\d+); center:(" + _LABEL_RE.pattern + r"); edges:(.*)\}$")
 _ENDPOINT_RE = re.compile(r"^(i(\d+)|o(\d+)|c)$")
 
 

@@ -243,16 +243,9 @@ def safest_subsystem(net: PtNet, phi: Formula, b: int, r: int, c: int, sem: str,
                      config: RunConfig = DEFAULT_CONFIG,
                      log: Optional[ProofLog] = None) -> Optional[PtNet]:
     """Minimal net for (behavior of net) ∩ (phi) whose behavior stays within
-    the original net's behavior."""
-    labels = tuple(net.transitions)
-    net_aut = net_automaton(net, c, sem, config)
-    target = intersect(po_automaton(phi, c, labels, config), net_aut, config)
-    forbidden = poset_complement(net_aut, config)
-    if log:
-        log.step("target language", "product of formula and behavior automata", "built")
-        log.step("forbidden language", "poset complement of the behavior automaton", "built")
-    spec = SynthesisSpec(target, c, b, r, sem, labels)
-    return separate(spec, forbidden, config, log)
+    the original net's behavior: the repair whose allowed language is that
+    behavior."""
+    return _repair(net, phi, None, b, r, c, sem, config, log)
 
 
 def repair(net: PtNet, phi: Formula, psi: Formula, b: int, r: int, c: int, sem: str,
@@ -260,13 +253,22 @@ def repair(net: PtNet, phi: Formula, psi: Formula, b: int, r: int, c: int, sem: 
            log: Optional[ProofLog] = None) -> Optional[PtNet]:
     """Minimal net for (behavior of net) ∩ (phi) whose behavior satisfies psi
     everywhere."""
+    return _repair(net, phi, psi, b, r, c, sem, config, log)
+
+
+def _repair(net: PtNet, keep: Formula, allow: Optional[Formula], b: int, r: int, c: int,
+            sem: str, config: RunConfig, log: Optional[ProofLog]) -> Optional[PtNet]:
+    """Separate (behavior of net) ∩ (keep) from the posets outside the allowed
+    language: allow's, or the net's own behavior when allow is None. The
+    target is built first, so a state cap that bites on both stops there."""
     labels = tuple(net.transitions)
-    net_aut = net_automaton(net, c, sem, config)
-    target = intersect(po_automaton(phi, c, labels, config), net_aut, config)
-    forbidden = poset_complement(po_automaton(psi, c, labels, config), config)
+    behavior = net_automaton(net, c, sem, config)
+    target = intersect(po_automaton(keep, c, labels, config), behavior, config)
+    allowed = behavior if allow is None else po_automaton(allow, c, labels, config)
+    forbidden = poset_complement(allowed, config)
     if log:
         log.step("target language", "product of keep-formula and behavior automata", "built")
-        log.step("forbidden language", "poset complement of the allow-formula automaton",
+        log.step("forbidden language", "poset complement of the allowed-language automaton",
                  "built")
     spec = SynthesisSpec(target, c, b, r, sem, labels)
     return separate(spec, forbidden, config, log)

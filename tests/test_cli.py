@@ -287,6 +287,14 @@ BAD_FILES = {
     "empty-label.aut": "slice-automaton c=1 alphabet=a,\nstate 0 initial\nstate 1 final\n"
                        "trans 0 slice{in:0; out:0; center:; edges: } 1\n",
     "no-label.aut": "slice-automaton c=1 alphabet=\nstate 0 initial\n",
+    # "²".isdigit() holds, but int("²") raises: counts are decimal numerals
+    "superscript-width.aut": "slice-automaton c=\u00b2 alphabet=a\nstate 0 initial\n",
+    "superscript-bound.net": "net x bound=\u00b2\ntransitions a\n"
+                             "place init=1 take(a)=1 put(a)=1\n",
+    "superscript-init.net": "net x bound=1\ntransitions a\n"
+                            "place init=\u00b2 take(a)=1 put(a)=1\n",
+    "superscript-mult.net": "net x bound=1\ntransitions a\n"
+                            "place init=1 take(a)=1 put(a)=1 mult=\u00b2\n",
 }
 
 
@@ -300,6 +308,10 @@ BAD_FILES = {
     ["aut", "empty", "flag-typo.aut"],
     ["aut", "members", "empty-label.aut", "--n", "2"],
     ["aut", "members", "no-label.aut", "--n", "2"],
+    ["aut", "empty", "superscript-width.aut"],
+    ["net-automaton", "--net", "superscript-bound.net", "--c", "1", "--sem", "ex"],
+    ["net-automaton", "--net", "superscript-init.net", "--c", "1", "--sem", "ex"],
+    ["net-automaton", "--net", "superscript-mult.net", "--c", "1", "--sem", "ex"],
 ])
 def test_bad_arguments_exit_three_without_traceback(files, args):
     write, tmp = files
@@ -360,6 +372,32 @@ def test_empty_label_exits_three(files, capsys):
         aut = write(name, BAD_FILES[name])
         assert main(["aut", "members", aut, "--n", "2"]) == 3
         assert capsys.readouterr() == ("", f"error: empty label in alphabet {alphabet}\n")
+
+
+# unit_alphabet judges every label once: a label is letters, digits and
+# underscores, the class a slice literal spells; synth and contract sort them
+NOT_A_LABEL = "is not letters, digits and underscores"
+
+
+@pytest.mark.parametrize("command, alphabet, message", [
+    ("compile", "a b,c", f"label 'a b' in alphabet 'a b,c' {NOT_A_LABEL}"),
+    ("synth", "a b", f"label 'a b' in alphabet 'a b' {NOT_A_LABEL}"),
+    ("contract", "b,\u00e9", f"label '\u00e9' in alphabet 'b,\u00e9' {NOT_A_LABEL}"),
+    ("compile", "a,", "empty label in alphabet 'a,'"),
+    ("synth", "b,a,", "empty label in alphabet ',a,b'"),
+    ("contract", "", "empty label in alphabet ''"),
+])
+def test_bad_labels_exit_three(files, capsys, command, alphabet, message):
+    write, tmp = files
+    alt = write("alt.mso", corpus.ALTERNATING_AB)
+    spec = {"compile": ["--mso2", write("edge.mso2", corpus.SOME_EDGE)],
+            "synth": ["--mso", alt, "--b", "1", "--sem", "ex"],
+            "contract": ["--yes", alt, "--no", write("aa.mso", corpus.CONSECUTIVE_AA),
+                         "--b", "1", "--sem", "ex"]}[command]
+    out = tmp / "out"
+    assert main([command, *spec, "--c", "1", "--alphabet", alphabet, "-o", str(out)]) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_output_does_not_depend_on_hash_seed(tmp_path):

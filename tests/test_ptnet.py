@@ -1,11 +1,13 @@
 """Token game, boundedness, process semantics oracles, net files."""
 
+import itertools
+
 import pytest
 
 from slw.config import InputError
 from slw.dag import LabeledPoset
-from slw.ptnet import (Place, PtNet, causal_orders, check_bounded, enabled, executions,
-                       fire, net_union, processes)
+from slw.ptnet import (Place, PtNet, _extensions_of_order, causal_orders, check_bounded,
+                       enabled, executions, fire, net_union, processes)
 
 from conftest import poset_keys
 
@@ -94,6 +96,52 @@ class TestOrderOracles:
     def test_execution_monotonicity(self, nets):
         for name, net in nets.items():
             assert poset_keys(executions(net, 3, 1)) <= poset_keys(executions(net, 3, 2)), name
+
+
+def subset_extensions(base: LabeledPoset) -> set:
+    """The reference: add every subset of base's incomparable ordered pairs,
+    keep the results that are strict orders. 2^(incomparable pairs) subsets."""
+    verts = base.vertices
+    missing = [(u, v) for u in verts for v in verts
+               if u != v and (u, v) not in base.order and (v, u) not in base.order]
+    out = set()
+    for r in range(len(missing) + 1):
+        for extra in itertools.combinations(missing, r):
+            pairs = set(base.order) | set(extra)
+            if any((v, u) in pairs for u, v in pairs):
+                continue
+            if all((a, d) in pairs for a, b in pairs for c, d in pairs if b == c):
+                out.add(frozenset(pairs))
+    return out
+
+
+class TestOrderExtensions:
+    def test_extensions_match_the_subset_enumeration(self, nets):
+        for name, net in nets.items():
+            for base in causal_orders(net, 4):
+                got = [po.order for po in _extensions_of_order(base)]
+                assert len(got) == len(set(got)), (name, base)
+                assert set(got) == subset_extensions(base), (name, base)
+
+    def test_executions_match_the_subset_enumeration(self, nets):
+        total = 0
+        for name, net in nets.items():
+            for k in range(1, 5):
+                bases = causal_orders(net, k)
+                for c in (None, 1, 2, 3):
+                    want = {LabeledPoset(base.labels, pairs).canonical_key()
+                            for base in bases for pairs in subset_extensions(base)
+                            if c is None
+                            or LabeledPoset(base.labels, pairs).is_c_partial_order(c)}
+                    assert poset_keys(executions(net, k, c)) == want, (name, k, c)
+                    total += len(want)
+        assert total == 710  # 96 cases
+
+    def test_antichain_extension_counts(self):
+        # the number of strict orders on n labeled points (OEIS A001035)
+        for n, count in zip(range(1, 6), (1, 3, 19, 219, 4231)):
+            base = LabeledPoset({v: "a" for v in range(n)}, [])
+            assert len(_extensions_of_order(base)) == count
 
 
 class TestUnion:

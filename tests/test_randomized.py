@@ -5,10 +5,11 @@ involution, dead transitions), and random command lines that must end with an
 exit code."""
 
 import random
+from pathlib import Path
 
 import pytest
 
-from slw.automata import valid_sequences
+from slw.automata import SliceAutomaton, valid_sequences
 from slw.cli import main
 from slw.compiler import compile_formula, po_automaton
 from slw.constructions import poset_complement, transitive_reduce_automaton
@@ -243,4 +244,66 @@ def test_random_cli_arguments_end_with_an_exit_code(tmp_path, capsys):
         except Exception as err:
             pytest.fail(f"slw {' '.join(argv)} raised {err!r}")
         assert code in (0, 1, 2, 3), argv
+        capsys.readouterr()
+
+
+# values that str.isdigit or a loose split lets through, and a reader must refuse
+JUNK_VALUES = ("\u00b2", "\u0661", "1.0", "-1", "")
+JUNK_ALPHABETS = ("a b", "a;b", "a,", ",a", "a-b", "a,,b", "\u00e9")
+
+
+def _junk_value(rng, text):
+    """text with the value after one '=' replaced by a junk value."""
+    cuts = [i + 1 for i, ch in enumerate(text) if ch == "="]
+    start = rng.choice(cuts)
+    end = start
+    while end < len(text) and not text[end].isspace():
+        end += 1
+    return text[:start] + rng.choice(JUNK_VALUES) + text[end:]
+
+
+def test_random_field_values_end_with_an_exit_code(tmp_path, capsys):
+    """Junk after one '=' of a valid .net or .aut file, or a malformed
+    --alphabet: every run ends with an exit code and no traceback, and every
+    file a run writes with -o reads back."""
+    nets = make_fixture_nets()
+    texts = {"net": [nets[name].to_text() for name in ("N0", "N1", "N2")],
+             "aut": [cached_net_automaton("N1", 1, "ex").to_text()]}
+    total, edge, aa = (tmp_path / name for name in ("total.mso", "edge.mso2", "aa.mso"))
+    total.write_text(corpus.TOTAL_ORDER)
+    edge.write_text(corpus.SOME_EDGE)
+    aa.write_text(corpus.CONSECUTIVE_AA)
+    bounds = ["--b", "1", "--c", "1", "--sem", "ex"]
+    # per input kind: (argv before the input, the option that names it, the
+    # reader of the -o file or None where the command writes none)
+    commands = {
+        "net": [(["net-automaton", "--c", "1", "--sem", "ex"], "--net", SliceAutomaton),
+                (["verify", "--mso", str(total), "--c", "1", "--sem", "ex"], "--net", None)],
+        "aut": [(["aut", "complement", "--n", "2"], None, SliceAutomaton),
+                (["aut", "members", "--n", "2"], None, None)],
+        "alphabet": [(["compile", "--mso2", str(edge), "--c", "1"], "--alphabet", SliceAutomaton),
+                     (["synth", "--mso", str(total), *bounds], "--alphabet", PtNet),
+                     (["contract", "--yes", str(total), "--no", str(aa), *bounds],
+                      "--alphabet", PtNet)],
+    }
+    rng = random.Random(11)
+    for i in range(60):
+        kind = rng.choice(sorted(commands))
+        argv, option, reader = rng.choice(commands[kind])
+        if kind == "alphabet":
+            value = rng.choice(JUNK_ALPHABETS)
+        else:
+            value = str(tmp_path / f"case{i}.{kind}")
+            Path(value).write_text(_junk_value(rng, rng.choice(texts[kind])))
+        argv = argv + ([option, value] if option else [value])
+        out = tmp_path / f"out{i}"
+        if reader:
+            argv += ["-o", str(out)]
+        try:
+            code = main(argv)
+        except Exception as err:
+            pytest.fail(f"slw {' '.join(argv)} raised {err!r}")
+        assert code in (0, 1, 2, 3), argv
+        if code == 0 and reader:
+            reader.from_text(out.read_text())
         capsys.readouterr()
