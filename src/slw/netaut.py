@@ -21,6 +21,15 @@ flows of all places decide the produced class. The product of the places'
 choice counts is capped by `--max-states`. Sorted tuples compare totally, so
 each run is canonical: equal markings always make one state.
 
+Each game keeps one memo of per-place firing options, keyed on (run, letter,
+take, put). That is sound because a place's options depend on nothing else:
+its run, the letter's ports, the tokens the label takes from and puts on it,
+and the net's bound, which is fixed for the game. Under `ex` an option is the
+place's next run; under `cau` it is the consumed flows and the advanced
+leftover run, to which the firing adds its produced class. Equal places share
+entries, a walk computes only the keys it reads, and the memo goes with its
+game.
+
 Initial-marking tokens have no producing event: they carry empty sets, impose
 no order constraint on consumers, and realize no edge. A state is final when
 its universal-automaton state is; the result is saturated and transitively
@@ -79,12 +88,14 @@ def token_game(net: PtNet, c: int, sem: str, config: RunConfig = DEFAULT_CONFIG)
     moves = {t: (tuple(p.take(t) for p in net.places), tuple(p.put(t) for p in net.places))
              for t in net.transitions}
 
+    options: dict = {}  # this game's memo: (run, letter, take, put) -> _place_options
+
     def step(state, letter):
         q, runs = state
         targets = succ[q].get(letter)
         if targets:
-            for new_runs in _firings(runs, letter, *moves[letter.label], net.bound, causal,
-                                     config.max_states):
+            for new_runs in _firings(runs, letter, *moves[letter.label], options, net.bound,
+                                     causal, config.max_states):
                 for q2 in targets:
                     yield q2, new_runs
 
@@ -93,51 +104,67 @@ def token_game(net: PtNet, c: int, sem: str, config: RunConfig = DEFAULT_CONFIG)
     return (0, init_runs), step, lambda state: state[0] in univ.finals, univ
 
 
-def _firings(runs: tuple, letter, take: tuple, put: tuple, bound: int, causal: bool, cap: int):
+def _firings(runs: tuple, letter, take: tuple, put: tuple, options: dict, bound: int,
+             causal: bool, cap: int):
     """The next runs of every legal firing of a letter whose label takes take[i]
-    and puts put[i] tokens on place i."""
-    closing, port_map, born = frozenset(letter.closing_ports), letter.bypass_map, letter.born_ports
+    and puts put[i] tokens on place i, each place's options read from `options`."""
     per_place = []
-    for run, k, p in zip(runs, take, put):
-        if not k <= sum(cnt for _, cnt in run) <= bound + k - p:
+    for key in zip(runs, itertools.repeat(letter), take, put):
+        opts = options.get(key)
+        if opts is None:
+            opts = options[key] = _place_options(*key, bound, causal)
+        if not opts:
             return
-        # a produced token is consumable only where its producer precedes the center
-        choices = list(_multiset_choices([(cls, cnt) for cls, cnt in run
-                                          if cls[0] or not closing.isdisjoint(cls[1])], k))
-        if not choices:
-            return
-        per_place.append(choices)
+        per_place.append(opts)
     if math.prod(map(len, per_place)) > cap:
         raise ResourceError("state cap exceeded in token game", context=f"max_states={cap}")
-    advanced: dict = {}  # a surviving class advances alike under every choice
+    if not causal:  # nothing reads flow sets: each place's next run is its own
+        yield from itertools.product(*per_place)
+        return
+    closing, port_map, born = letter.closing_ports, letter.bypass_map, letter.born_ports
+    for assignment in itertools.product(*per_place):
+        flows = frozenset().union(*[consumed for consumed, _ in assignment])
+        if not flows.issuperset(closing):
+            continue  # some closed covering edge has no realizing condition
+        produced = (False, born, tuple(sorted(set(born).union(
+            port_map[q] for q in flows if q in port_map))))
+        yield tuple(_with_produced(left, p, produced) for (_, left), p in zip(assignment, put))
 
-    def next_run(run, combo, k, new):
-        """The run left after consuming combo, advanced, plus k tokens of class new."""
+
+def _place_options(run: tuple, letter, k: int, p: int, bound: int, causal: bool) -> tuple:
+    """One place's share of every firing of a letter that takes k and puts p
+    tokens there: () when the place blocks it, else one entry per consumption
+    choice, in `_multiset_choices` order. Under `ex` an entry is the place's
+    next run; under `cau` it is (the ports of the consumed flow sets, the
+    advanced leftover run), to which the firing adds its produced class."""
+    if not k <= sum(cnt for _, cnt in run) <= bound + k - p:
+        return ()
+    closing, port_map, born = frozenset(letter.closing_ports), letter.bypass_map, letter.born_ports
+    options = []
+    # a produced token is consumable only where its producer precedes the center
+    for combo in _multiset_choices([(cls, cnt) for cls, cnt in run
+                                    if cls[0] or not closing.isdisjoint(cls[1])], k):
         consumed, left = dict(combo), {}
         for cls, cnt in run:
             cnt -= consumed.get(cls, 0)
             if cnt > 0:
-                adv = advanced.get(cls)
-                if adv is None:
-                    adv = advanced[cls] = _advance(cls, port_map, closing, born)
+                adv = _advance(cls, port_map, closing, born)
                 left[adv] = left.get(adv, 0) + cnt
-        if k:
-            left[new] = left.get(new, 0) + k
-        return tuple(sorted(left.items()))  # classes compare totally: canonical order
+        left = tuple(sorted(left.items()))  # classes compare totally: canonical order
+        if causal:
+            options.append((frozenset(q for cls in consumed for q in cls[2]), left))
+        else:
+            options.append(_with_produced(left, p, (False, born, ())))
+    return tuple(options)
 
-    if not causal:  # nothing reads flow sets: each place's next run is its own
-        produced = (False, born, ())
-        yield from itertools.product(*([next_run(run, combo, p, produced) for combo in choices]
-                                       for run, choices, p in zip(runs, per_place, put)))
-        return
-    for assignment in itertools.product(*per_place):
-        flows = [cls[2] for combo in assignment for cls, _ in combo]
-        if any(not any(q in f for f in flows) for q in closing):
-            continue  # some closed covering edge has no realizing condition
-        produced = (False, born, tuple(sorted(set(born).union(
-            port_map[q] for f in flows for q in f if q in port_map))))
-        yield tuple(next_run(run, combo, p, produced)
-                    for run, combo, p in zip(runs, assignment, put))
+
+def _with_produced(left: tuple, p: int, produced: tuple) -> tuple:
+    """The run `left` plus p tokens of class `produced`."""
+    if not p:
+        return left
+    merged = dict(left)
+    merged[produced] = merged.get(produced, 0) + p
+    return tuple(sorted(merged.items()))
 
 
 def _advance(cls, port_map: dict, closing: frozenset, born: tuple):

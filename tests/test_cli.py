@@ -402,7 +402,7 @@ def test_bad_labels_exit_three(files, capsys, command, alphabet, message):
 
 def test_output_does_not_depend_on_hash_seed(tmp_path):
     nets = make_fixture_nets()
-    for name in ("N0", "N1", "N2"):
+    for name in ("N0", "N1", "N2", "N3"):
         (tmp_path / f"{name}.net").write_text(nets[name].to_text())
     (tmp_path / "total.mso").write_text(corpus.TOTAL_ORDER)
     outputs = []
@@ -424,6 +424,11 @@ def test_output_does_not_depend_on_hash_seed(tmp_path):
                            "--mso", "total.mso", "--c", "2", "--sem", "ex"], tmp_path, seed)
         assert result.returncode == 1, result.stderr
         out["verify"] = result.stdout
+        for name, sem in (("N2", "ex"), ("N3", "cau")):
+            result = _run_cli(["net-automaton", "--net", f"{name}.net", "--c", "3",
+                               "--sem", sem], tmp_path, seed)
+            assert result.returncode == 0, result.stderr
+            out[f"{name} c=3 {sem}"] = result.stdout
         outputs.append(out)
     assert outputs[0] == outputs[1]
 

@@ -1,5 +1,6 @@
 """Behavior automata of nets versus the process-enumeration oracles."""
 
+import collections
 import itertools
 
 import pytest
@@ -8,6 +9,7 @@ from slw.automata import equivalent, explore
 from slw.config import InputError, ResourceError, RunConfig
 from slw.constructions import check_saturated_upto, universal_automaton
 from slw.dag import LabeledPoset
+from slw import netaut
 from slw.netaut import _multiset_choices, net_automaton, token_game
 from slw.ptnet import Place, PtNet, causal_orders, executions, occurrence_sequences
 
@@ -315,12 +317,14 @@ class TestPerPlaceRuns:
         assert net_automaton(net, c, sem).to_text() \
             == _flat_net_automaton(net, c, sem).to_text()
 
-    def test_firing_product_is_capped(self):
+    @pytest.mark.parametrize("sem", ["ex", "cau"])
+    def test_firing_product_is_capped(self, monkeypatch, sem):
         # t takes one of each place's two tokens: after one t, the next t has
         # 2^6 = 64 assignments, and the firing is refused before any is built
         net = PtNet(("t",), [Place(2, puts={"t": 1}, takes={"t": 1})] * 6,
                     bound=2, name="F")
-        start, step, _, univ = token_game(net, 1, "ex", RunConfig(max_states=63))
+        calls = _count_place_options(monkeypatch)
+        start, step, _, univ = token_game(net, 1, sem, RunConfig(max_states=63))
         succ = univ.successors()
         seen, frontier = {start}, [start]
         with pytest.raises(ResourceError, match="state cap exceeded in token game"):
@@ -329,6 +333,34 @@ class TestPerPlaceRuns:
                             for nxt in step(state, letter) if nxt not in seen]
                 seen.update(frontier)
         assert len(seen) < 10
+        # the six equal places share one computation per (run, letter)
+        assert calls and set(calls.values()) == {1}
+
+
+def _count_place_options(monkeypatch):
+    """Count the calls of netaut._place_options, by key."""
+    calls = collections.Counter()
+    compute = netaut._place_options
+
+    def counted(run, letter, take, put, bound, causal):
+        calls[run, letter, take, put] += 1
+        return compute(run, letter, take, put, bound, causal)
+
+    monkeypatch.setattr(netaut, "_place_options", counted)
+    return calls
+
+
+class TestPlaceOptionsMemo:
+    """Each token game works out a place's share of a firing once per key."""
+
+    @pytest.mark.parametrize("name,sem", [("N2", "ex"), ("N3", "cau")])
+    def test_each_key_is_computed_once_per_game(self, nets, monkeypatch, name, sem):
+        calls = _count_place_options(monkeypatch)
+        text = net_automaton(nets[name], 3, sem).to_text()
+        assert calls and set(calls.values()) == {1}
+        # the memo is dropped with its game: a second game works each key out again
+        assert net_automaton(nets[name], 3, sem).to_text() == text
+        assert set(calls.values()) == {2}
 
 
 def _chain_order(poset):
