@@ -31,7 +31,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
+from .config import (DEFAULT_CONFIG, InputError, ResourceError, RunConfig, count, once,
+                     split_fields, text_lines)
 from .dag import LabeledDag, LabeledPoset, dedup_posets
 from .slices import (Slice, UnitDecomposition, can_glue, compose, from_literal, literal_table,
                      to_literal, unit_alphabet)
@@ -316,69 +317,58 @@ class SliceAutomaton:
     def from_text(text: str) -> "SliceAutomaton":
         """Parse the `.aut` format: a header, then state lines, then trans lines
         that name only states declared above them."""
-        rows = ((n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1))
-        rows = ((n, ln) for n, ln in rows if ln and not ln.startswith("#"))
+        rows = text_lines(text)
         n, header = next(rows, (0, ""))
-        if not header.startswith("slice-automaton"):
+        kind, *words = header.split() or [""]
+        if kind != "slice-automaton":
             raise InputError("expected a 'slice-automaton c=<c> alphabet=<T>' header")
-        c = None
-        labels = ()
-        saturated = None
-        reduced = None
-        for tok in header.split()[1:]:
-            if tok.startswith("c="):
-                if not tok[2:].isdecimal():
-                    raise InputError(f"line {n}: bad width in {tok!r}")
-                c = int(tok[2:])
-            elif tok.startswith("alphabet="):
-                labels = tuple(tok[len("alphabet="):].split(","))
-            elif tok == "saturated":
-                saturated = True
-            elif tok == "reduced":
-                reduced = True
-            else:
-                raise InputError(f"unknown header token {tok!r}")
-        if c is None or not labels:
-            raise InputError("header must declare c= and alphabet=")
+        claims, fields = split_fields(n, words)
+        unknown = set(claims) - {"saturated", "reduced"} | set(fields) - {"c", "alphabet"}
+        if unknown:
+            raise InputError(f"line {n}: unknown header token {min(unknown)!r}")
+        if "c" not in fields or "alphabet" not in fields:
+            raise InputError(f"line {n}: header must declare c= and alphabet=")
+        c, labels = count(n, "c", fields["c"]), tuple(fields["alphabet"].split(","))
         # c < 1 is rejected by unit_alphabet below, after the body's own errors
         table = literal_table(c, labels) if c >= 1 else {}
         states, initial, finals, trans = {}, None, set(), []
         for n, ln in rows:
             parts = ln.split(None, 2)
-            if parts[0] == "state":
-                rest = parts[1:] if len(parts) > 1 else []
-                if not rest:
-                    raise InputError(f"malformed state line: {ln!r}")
-                name = rest[0]
-                flags = rest[1].split() if len(rest) > 1 else []
+            if parts[0] == "trans":
+                body = parts[2] if len(parts) == 3 else ""
+                lit_end = body.rfind("}")
+                dst = body[lit_end + 1:].strip()
+                if lit_end < 0 or not dst:
+                    raise InputError(f"line {n}: malformed trans line: {ln!r}")
+                for q in (parts[1], dst):
+                    if q not in states:
+                        raise InputError(f"line {n}: transition names undeclared state {q!r}")
+                literal = body[: lit_end + 1]
+                trans.append((parts[1], table.get(literal) or from_literal(literal), dst))
+            elif parts[0] == "state":
+                names, fields = split_fields(n, ln.split()[1:])
+                if not names or fields:
+                    raise InputError(f"line {n}: malformed state line: {ln!r}")
+                name, *flags = names
+                once(n, states, name, "state")
                 for flag in flags:
                     if flag not in ("initial", "final"):
                         raise InputError(f"line {n}: unknown state flag {flag!r}")
                 states[name] = None
                 if "initial" in flags:
                     if initial is not None:
-                        raise InputError("multiple initial states declared")
+                        raise InputError(f"line {n}: multiple initial states declared")
                     initial = name
                 if "final" in flags:
                     finals.add(name)
-            elif parts[0] == "trans":
-                body = parts[2] if len(parts) == 3 else ""
-                lit_end = body.rfind("}")
-                dst = body[lit_end + 1:].strip()
-                if lit_end < 0 or not dst:
-                    raise InputError(f"malformed trans line: {ln!r}")
-                for q in (parts[1], dst):
-                    if q not in states:
-                        raise InputError(f"line {n}: transition names undeclared state {q!r}")
-                literal = body[: lit_end + 1]
-                trans.append((parts[1], table.get(literal) or from_literal(literal), dst))
             else:
-                raise InputError(f"unexpected line in automaton file: {ln!r}")
+                raise InputError(f"line {n}: unexpected line in automaton file: {ln!r}")
         if initial is None:
             raise InputError("no initial state declared")
         alphabet = unit_alphabet(c, labels)
         return SliceAutomaton(c, labels, alphabet, initial, finals, trans, states=states,
-                              saturated=saturated, transitively_reduced=reduced)
+                              saturated="saturated" in claims or None,
+                              transitively_reduced="reduced" in claims or None)
 
     def __repr__(self):
         return (f"SliceAutomaton(c={self.c}, labels={self.labels}, "

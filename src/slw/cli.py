@@ -151,8 +151,8 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_net(path: str) -> PtNet:
-    return PtNet.from_text(_read(path))
+def _load_net(path: str, config: RunConfig) -> PtNet:
+    return PtNet.from_text(_read(path), config)
 
 
 def _load_order_formula(path: str):
@@ -182,7 +182,7 @@ def _labels(arg: str) -> tuple:
 
 
 def _cmd_verify(args, config, log) -> int:
-    net = _load_net(args.net)
+    net = _load_net(args.net, config)
     phi = _load_order_formula(args.mso)
     report = verify(net, phi, args.c, args.sem, config, log)
     if args.output == "structured":
@@ -205,13 +205,13 @@ def _cmd_synth(args, config, log) -> int:
 
 
 def _cmd_safest(args, config, log) -> int:
-    net = safest_subsystem(_load_net(args.net), _load_order_formula(args.mso),
+    net = safest_subsystem(_load_net(args.net, config), _load_order_formula(args.mso),
                            args.b, args.r, args.c, args.sem, config, log)
     return _emit_net(net, args)
 
 
 def _cmd_repair(args, config, log) -> int:
-    net = repair(_load_net(args.net), _load_order_formula(args.keep),
+    net = repair(_load_net(args.net, config), _load_order_formula(args.keep),
                  _load_order_formula(args.allow),
                  args.b, args.r, args.c, args.sem, config, log)
     return _emit_net(net, args)
@@ -235,7 +235,7 @@ def _cmd_compile(args, config, log) -> int:
 
 
 def _cmd_net_automaton(args, config, log) -> int:
-    aut = net_automaton(_load_net(args.net), args.c, args.sem, config)
+    aut = net_automaton(_load_net(args.net, config), args.c, args.sem, config)
     _emit(aut.to_text(), args.out)
     return 0
 

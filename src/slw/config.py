@@ -1,7 +1,10 @@
-"""Run configuration, resource caps, the toolkit's error types and the frozen
-record base that slw's value types share."""
+"""Run configuration, resource caps, the toolkit's error types, the frozen
+record base that slw's value types share, and the line syntax that the `.aut`,
+`.net` and DAG readers share."""
 
 from __future__ import annotations
+
+from typing import Iterator, Optional
 
 
 class SlwError(Exception):
@@ -22,6 +25,48 @@ class ResourceError(SlwError):
 
 class PreconditionError(SlwError):
     """An operation was called on operands that violate its stated preconditions."""
+
+
+# -- the line syntax of slw's text formats -------------------------------------------
+
+
+def text_lines(text: str) -> Iterator[tuple[int, str]]:
+    """Each stripped line of `text` with its number, but blank lines and `#` comments."""
+    for n, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield n, line
+
+
+def once(n: int, seen, key: str, what: str) -> None:
+    """Refuse `key` at line `n` if `seen` holds it already."""
+    if key in seen:
+        raise InputError(f"line {n}: {what} {key!r} given twice")
+
+
+def split_fields(n: int, words) -> tuple[list, dict]:
+    """Line `n`'s words as bare words and `key=value` fields, each given once."""
+    bare, fields = {}, {}
+    for word in words:
+        key, eq, value = word.partition("=")
+        seen = fields if eq else bare
+        once(n, seen, key, "field" if eq else "word")
+        seen[key] = value
+    return list(bare), fields
+
+
+def decimal(word: str) -> Optional[int]:
+    """`word` as a count if it is a decimal numeral (`str.isdecimal`), else
+    None: `²` is a digit to `str.isdigit` but no numeral to `int`."""
+    return int(word) if word.isdecimal() else None
+
+
+def count(n: int, key: str, value: str) -> int:
+    """The count of field `key=value` on line `n`."""
+    number = decimal(value)
+    if number is None:
+        raise InputError(f"line {n}: bad count in {key}={value}")
+    return number
 
 
 class Record:

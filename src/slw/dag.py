@@ -12,7 +12,7 @@ import itertools
 from collections import Counter, defaultdict, deque
 from typing import Iterable, Iterator, Sequence
 
-from .config import InputError
+from .config import InputError, once, text_lines
 
 
 class LabeledDag:
@@ -215,17 +215,15 @@ class LabeledDag:
     @staticmethod
     def from_text(text: str) -> "LabeledDag":
         labels, edges = {}, []
-        for ln, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for n, line in text_lines(text):
             parts = line.split()
             if parts[0] == "vertex" and len(parts) == 3:
+                once(n, labels, parts[1], "vertex")
                 labels[parts[1]] = parts[2]
             elif parts[0] == "edge" and len(parts) == 3:
                 edges.append((parts[1], parts[2]))
             else:
-                raise InputError(f"line {ln}: expected 'vertex ID LABEL' or 'edge SRC DST'")
+                raise InputError(f"line {n}: expected 'vertex ID LABEL' or 'edge SRC DST'")
         return LabeledDag(labels, edges)
 
     def canonical_key(self):

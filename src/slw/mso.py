@@ -28,7 +28,8 @@ import re
 from functools import reduce
 from typing import Iterator, NamedTuple, Optional
 
-from .config import DEFAULT_CONFIG, MAX_ENUM_EDGES, InputError, Record, ResourceError, RunConfig
+from .config import (DEFAULT_CONFIG, MAX_ENUM_EDGES, InputError, Record, ResourceError,
+                     RunConfig, decimal)
 from .dag import LabeledDag, LabeledPoset
 
 VERTEX, EDGE, VSET, ESET = "vertex", "edge", "vset", "eset"
@@ -610,9 +611,9 @@ class _Parser:
                 continue
             tok = self.take()
             if cls.__annotations__[field] == "int":
-                if not tok.isdecimal():
+                tok = decimal(tok)
+                if tok is None:
                     self.error(sig.error)
-                tok = int(tok)
             values.append(tok)
         self.take(")")
         return values

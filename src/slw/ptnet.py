@@ -14,7 +14,8 @@ import itertools
 from collections import deque
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .config import DEFAULT_CONFIG, InputError, ResourceError, RunConfig
+from .config import (DEFAULT_CONFIG, InputError, ResourceError, RunConfig, count,
+                     split_fields, text_lines)
 from .dag import LabeledDag, LabeledPoset, dedup_posets
 
 
@@ -117,58 +118,43 @@ class PtNet:
         return "\n".join(lines) + "\n"
 
     @staticmethod
-    def from_text(text: str) -> "PtNet":
-        name, bound, transitions = None, None, None
-        places: list[Place] = []
-        for ln, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "net":
-                if len(parts) < 2:
-                    raise InputError(f"line {ln}: expected 'net NAME bound=B'")
-                name = parts[1]
-                bound = 1
-                for tok in parts[2:]:
-                    if tok.startswith("bound=") and tok[len("bound="):].isdecimal():
-                        bound = int(tok[len("bound="):])
+    def from_text(text: str, config: RunConfig = DEFAULT_CONFIG) -> "PtNet":
+        """Parse the `.net` format: a net line, a transitions line, then one line
+        per place; `mult` repeats a place, up to `config.max_states` places."""
+        name, transitions, bound, places = None, None, 1, []
+        for n, line in text_lines(text):
+            kind, *words = line.split()
+            bare, fields = split_fields(n, words)
+            if kind == "net":
+                if name is not None or len(bare) != 1 or set(fields) - {"bound"}:
+                    raise InputError(f"line {n}: expected one 'net NAME bound=B' line")
+                name, bound = bare[0], count(n, "bound", fields.get("bound", "1"))
+            elif kind == "transitions":
+                if transitions is not None or not bare or fields:
+                    raise InputError(f"line {n}: expected one 'transitions T ...' line")
+                transitions = bare
+            elif kind == "place":
+                if transitions is None or len(bare) > 1:
+                    raise InputError(f"line {n}: expected 'place [NAME] FIELD=COUNT ...' "
+                                     "after the transitions line")
+                counts, flows = {"init": 0, "mult": 1}, {"take": {}, "put": {}}
+                for key, value in fields.items():
+                    flow, _, t = key.partition("(")
+                    if key in counts:
+                        counts[key] = count(n, key, value)
+                    elif flow in flows and t.endswith(")"):
+                        flows[flow][t[:-1]] = count(n, key, value)
                     else:
-                        raise InputError(f"line {ln}: unknown or malformed net attribute {tok!r}")
-            elif parts[0] == "transitions":
-                transitions = parts[1:]
-                if not transitions:
-                    raise InputError(f"line {ln}: empty transition list")
-            elif parts[0] == "place":
-                if transitions is None:
-                    raise InputError(f"line {ln}: 'transitions' must come before places")
-                pname, init, mult = "", 0, 1
-                puts: dict = {}
-                takes: dict = {}
-                for tok in parts[1:]:
-                    if "=" not in tok:
-                        pname = tok
-                        continue
-                    key, val = tok.split("=", 1)
-                    if not val.isdecimal():
-                        raise InputError(f"line {ln}: bad count in {tok!r}")
-                    val = int(val)
-                    if key == "init":
-                        init = val
-                    elif key == "mult":
-                        mult = val
-                    elif key.startswith("take(") and key.endswith(")"):
-                        takes[key[5:-1]] = val
-                    elif key.startswith("put(") and key.endswith(")"):
-                        puts[key[4:-1]] = val
-                    else:
-                        raise InputError(f"line {ln}: unknown place attribute {tok!r}")
+                        raise InputError(f"line {n}: unknown place attribute {key}={value}")
+                mult = counts["mult"]
                 if mult < 1:
-                    raise InputError(f"line {ln}: mult must be >= 1")
-                for _ in range(mult):
-                    places.append(Place(init, puts, takes, name=pname))
+                    raise InputError(f"line {n}: mult must be >= 1")
+                if len(places) + mult > config.max_states:
+                    raise ResourceError(f"line {n}: too many places: {len(places) + mult}",
+                                        context=f"max_states={config.max_states}")
+                places += [Place(counts["init"], flows["put"], flows["take"], *bare)] * mult
             else:
-                raise InputError(f"line {ln}: unexpected {parts[0]!r}")
+                raise InputError(f"line {n}: unexpected {kind!r}")
         if name is None or transitions is None:
             raise InputError("net file needs 'net' and 'transitions' lines")
         return PtNet(transitions, places, bound=bound, name=name)

@@ -275,6 +275,35 @@ def _run_cli(args, cwd, seed="0"):
                           capture_output=True, timeout=120)
 
 
+_NET = "net x bound=1\ntransitions a\nplace init=1 take(a)=1 put(a)=1\n"
+_AUT = "slice-automaton c=1 alphabet=a\nstate 0 initial\nstate 1 final\n"
+# file name -> (text, the error it ends with)
+REPEATS_AND_ERRORS = {
+    "second-net.net": ("net x bound=1\nnet y bound=1\ntransitions a\n"
+                       "place init=1 take(a)=1 put(a)=1\n",
+                       "line 2: expected one 'net NAME bound=B' line"),
+    "two-place-names.net": (_NET.replace("place", "place p q"),
+                            "line 3: expected 'place [NAME] FIELD=COUNT ...' after the "
+                            "transitions line"),
+    "second-transitions.net": (_NET + "transitions b\n",
+                               "line 4: expected one 'transitions T ...' line"),
+    "init-twice.net": (_NET.replace("init=1", "init=1 init=0"),
+                       "line 3: field 'init' given twice"),
+    "take-twice.net": (_NET.replace("take(a)=1", "take(a)=1 take(a)=0"),
+                       "line 3: field 'take(a)' given twice"),
+    "bound-twice.net": (_NET.replace("bound=1", "bound=1 bound=2"),
+                        "line 1: field 'bound' given twice"),
+    "state-twice.aut": (_AUT + "state 1\n", "line 4: state '1' given twice"),
+    "c-twice.aut": (_AUT.replace("c=1", "c=1 c=2"), "line 1: field 'c' given twice"),
+    "alphabet-twice.aut": (_AUT.replace("alphabet=a", "alphabet=a alphabet=b"),
+                           "line 1: field 'alphabet' given twice"),
+    "saturated-twice.aut": (_AUT.replace("alphabet=a", "alphabet=a saturated saturated"),
+                            "line 1: word 'saturated' given twice"),
+    "final-twice.aut": (_AUT.replace("state 1 final", "state 1 final final"),
+                        "line 3: word 'final' given twice"),
+}
+REPEATS = {name: text for name, (text, _) in REPEATS_AND_ERRORS.items()}
+
 # malformed numbers and literals in input files
 BAD_FILES = {
     "bad-width.aut": "slice-automaton c=x alphabet=a\nstate 0 initial\n",
@@ -295,6 +324,8 @@ BAD_FILES = {
                             "place init=\u00b2 take(a)=1 put(a)=1\n",
     "superscript-mult.net": "net x bound=1\ntransitions a\n"
                             "place init=1 take(a)=1 put(a)=1 mult=\u00b2\n",
+    # a line, a field or a flag given twice
+    **REPEATS,
 }
 
 
@@ -312,6 +343,9 @@ BAD_FILES = {
     ["net-automaton", "--net", "superscript-bound.net", "--c", "1", "--sem", "ex"],
     ["net-automaton", "--net", "superscript-init.net", "--c", "1", "--sem", "ex"],
     ["net-automaton", "--net", "superscript-mult.net", "--c", "1", "--sem", "ex"],
+    *(["net-automaton", "--net", name, "--c", "1", "--sem", "ex"]
+      for name in REPEATS if name.endswith(".net")),
+    *(["aut", "empty", name] for name in REPEATS if name.endswith(".aut")),
 ])
 def test_bad_arguments_exit_three_without_traceback(files, args):
     write, tmp = files
@@ -323,6 +357,27 @@ def test_bad_arguments_exit_three_without_traceback(files, args):
     result = _run_cli(args, tmp)
     assert result.returncode == 3
     assert b"Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("name", sorted(REPEATS_AND_ERRORS))
+def test_repeats_name_their_line(files, capsys, name):
+    write, _ = files
+    text, error = REPEATS_AND_ERRORS[name]
+    path = write(name, text)
+    args = ["net-automaton", "--net", path, "--c", "1", "--sem", "ex"] \
+        if name.endswith(".net") else ["aut", "empty", path]
+    assert main(args) == 3
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_place_multiplicity_is_capped_before_expansion(files, capsys):
+    write, _ = files
+    net = write("huge.net", _NET.replace("put(a)=1", "put(a)=1 mult=100000000"))
+    start = time.perf_counter()
+    assert main(["net-automaton", "--net", net, "--c", "1", "--sem", "ex"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == ("resource cap exceeded: line 3: too many places: "
+                                       "100000000 [max_states=1000000]\n")
 
 
 @pytest.mark.parametrize("command", ["synth", "contract"])
