@@ -6,14 +6,13 @@ unit slices (one center vertex each) along a topological ordering, and the
 sequence's width is the largest frontier it ever carries.
 """
 
-from slw import LabeledDag, UnitDecomposition, compose, glue, to_literal, unit_alphabet
+from slw import LabeledDag, UnitDecomposition, compose, to_literal, unit_alphabet
 from slw import unit_decompositions, unit_slice
 
 # Two letters glued into the two-vertex chain a -> b.
 first = unit_slice("a", 0, 1)
 second = unit_slice("b", 1, 0)
 print("letters:", to_literal(first), "+", to_literal(second))
-print("glued:", glue(first, second))
 print("composed DAG:", compose(UnitDecomposition([first, second])))
 print()
 

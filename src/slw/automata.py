@@ -344,7 +344,13 @@ class SliceAutomaton:
                     if q not in states:
                         raise InputError(f"line {n}: transition names undeclared state {q!r}")
                 literal = body[: lit_end + 1]
-                trans.append((parts[1], table.get(literal) or from_literal(literal), dst))
+                letter = table.get(literal)
+                if letter is None:
+                    try:
+                        letter = from_literal(literal)
+                    except InputError as err:
+                        raise InputError(f"line {n}: {err}") from None
+                trans.append((parts[1], letter, dst))
             elif parts[0] == "state":
                 names, fields = split_fields(n, ln.split()[1:])
                 if not names or fields:

@@ -95,15 +95,9 @@ class PtNet:
     def to_text(self) -> str:
         lines = [f"net {self.name} bound={self.bound}",
                  "transitions " + " ".join(str(t) for t in self.transitions)]
-        groups: dict = {}
-        order = []
-        for p in self.places:
-            if p.key() not in groups:
-                groups[p.key()] = [p, 0]
-                order.append(p.key())
-            groups[p.key()][1] += 1
-        for k in order:
-            p, mult = groups[k]
+        # only neighbours merge into one `mult=` line, so names and order survive
+        for _, group in itertools.groupby(self.places, lambda p: (p.key(), p.name)):
+            p, *copies = group
             parts = ["place"]
             if p.name:
                 parts.append(p.name)
@@ -112,8 +106,8 @@ class PtNet:
                 parts.append(f"take({t})={p.takes[t]}")
             for t in sorted(p.puts):
                 parts.append(f"put({t})={p.puts[t]}")
-            if mult != 1:
-                parts.append(f"mult={mult}")
+            if copies:
+                parts.append(f"mult={1 + len(copies)}")
             lines.append(" ".join(parts))
         return "\n".join(lines) + "\n"
 

@@ -1,12 +1,13 @@
-"""Slices, gluing, composition, the unit alphabet, and decomposition enumeration.
+"""Unit slices, composition, the unit alphabet, and decomposition enumeration.
 
-A slice is a DAG fragment with numbered in-ports and out-ports; a unit slice
-has exactly one center vertex and serves as an automaton letter. Letters are
-identified structurally (anonymous center vertices, ports keep their numbers),
-so equality and hashing are decidable and canonical.
+A slice is a DAG fragment with numbered in-ports and out-ports and one center
+vertex; it serves as an automaton letter. A word of slices whose neighbours
+glue (out-ports of one match the in-ports of the next) composes into a DAG.
+Letters are identified structurally (the center is anonymous, ports keep
+their numbers), so equality and hashing are decidable and canonical.
 
 Endpoint encoding inside a slice: ("i", k) is in-port k, ("o", k) is out-port
-k (both 1-based), ("c", j) is center vertex j (0-based).
+k (both 1-based), and ("c", 0) is the center.
 """
 
 from __future__ import annotations
@@ -22,29 +23,29 @@ from .dag import LabeledDag
 
 
 class Slice:
-    """A width-bounded DAG fragment with numbered frontier ports.
+    """A unit slice: one center vertex with label `label`, numbered frontier ports.
 
     Construction also records, for reading the slice as a letter, where each
     frontier port goes:
 
-    - `closing_ports`: the in-ports whose edge ends at a center vertex, as a
-      sorted tuple;
+    - `closing_ports`: the in-ports whose edge ends at the center, as a sorted
+      tuple;
     - `bypass_map`: in-port -> out-port for the edges that cross the slice
-      without touching a center, in increasing in-port order. The dict is
+      without touching the center, in increasing in-port order. The dict is
       shared by every reader of the slice and must not be written to;
-    - `born_ports`: the out-ports whose edge starts at a center vertex, as a
-      sorted tuple.
+    - `born_ports`: the out-ports whose edge starts at the center, as a sorted
+      tuple.
     """
 
-    __slots__ = ("n_in", "n_out", "center_labels", "edges", "_hash",
+    __slots__ = ("n_in", "n_out", "label", "edges", "_hash",
                  "closing_ports", "bypass_map", "born_ports")
 
-    def __init__(self, n_in: int, n_out: int, center_labels: Sequence, edges: Iterable[tuple]):
+    def __init__(self, n_in: int, n_out: int, label, edges: Iterable[tuple]):
         self.n_in = n_in
         self.n_out = n_out
-        self.center_labels = tuple(center_labels)
+        self.label = label
         self.edges = tuple(sorted(edges))
-        self._hash = hash((self.n_in, self.n_out, self.center_labels, self.edges))
+        self._hash = hash((self.n_in, self.n_out, self.label, self.edges))
         self._validate()
         self.closing_ports = tuple(sorted(s[1] for s, d in self.edges
                                           if s[0] == "i" and d[0] == "c"))
@@ -58,6 +59,8 @@ class Slice:
         for src, dst in self.edges:
             if src[0] not in ("i", "c") or dst[0] not in ("c", "o"):
                 raise InputError(f"edge {src}->{dst} violates frontier direction")
+            if src[0] == dst[0] == "c":
+                raise InputError("slice has a loop at its center")
             for end, seen, limit, kind in ((src, in_seen, self.n_in, "i"),
                                            (dst, out_seen, self.n_out, "o")):
                 if end[0] == kind:
@@ -65,39 +68,15 @@ class Slice:
                     if not (1 <= k <= limit):
                         raise InputError(f"port {end} out of range")
                     seen[k - 1] += 1
-            for end in (src, dst):
-                if end[0] == "c" and not (0 <= end[1] < len(self.center_labels)):
+                elif end != ("c", 0):
                     raise InputError(f"center index {end} out of range")
         if any(c != 1 for c in in_seen) or any(c != 1 for c in out_seen):
             raise InputError("every frontier port must be the endpoint of exactly one edge")
-        if self._center_cycle():
-            raise InputError("slice has a directed cycle among center vertices")
-
-    def _center_cycle(self) -> bool:
-        succ = {}
-        for src, dst in self.edges:
-            if src[0] == "c" and dst[0] == "c":
-                succ.setdefault(src[1], set()).add(dst[1])
-        seen, active = set(), set()
-
-        def dfs(j) -> bool:
-            active.add(j)
-            for k in succ.get(j, ()):
-                if k in active or (k not in seen and dfs(k)):
-                    return True
-            active.discard(j)
-            seen.add(j)
-            return False
-
-        return any(dfs(j) for j in list(succ) if j not in seen)
 
     # -- views ----------------------------------------------------------------
 
     def width(self) -> int:
         return max(self.n_in, self.n_out)
-
-    def is_unit(self) -> bool:
-        return len(self.center_labels) == 1
 
     def is_initial(self) -> bool:
         return self.n_in == 0
@@ -105,17 +84,10 @@ class Slice:
     def is_final(self) -> bool:
         return self.n_out == 0
 
-    @property
-    def label(self):
-        if not self.is_unit():
-            raise InputError("label is defined for unit slices only")
-        return self.center_labels[0]
-
     def __eq__(self, other):
         return (isinstance(other, Slice)
                 and self.n_in == other.n_in and self.n_out == other.n_out
-                and self.center_labels == other.center_labels
-                and self.edges == other.edges)
+                and self.label == other.label and self.edges == other.edges)
 
     def __hash__(self):
         return self._hash
@@ -124,12 +96,10 @@ class Slice:
         return self.sort_key() < other.sort_key()
 
     def sort_key(self):
-        return (self.n_in, self.n_out, self.center_labels, self.edges)
+        return (self.n_in, self.n_out, self.label, self.edges)
 
     def __repr__(self):
-        return to_literal(self) if self.is_unit() else (
-            f"Slice(in={self.n_in}, out={self.n_out}, centers={self.center_labels},"
-            f" edges={list(self.edges)})")
+        return to_literal(self)
 
 
 def unit_slice(label, n_in: int, n_out: int, bypass: Optional[dict] = None) -> Slice:
@@ -151,52 +121,11 @@ def unit_slice(label, n_in: int, n_out: int, bypass: Optional[dict] = None) -> S
     for o in range(1, n_out + 1):
         if o not in fed:
             edges.append((("c", 0), ("o", o)))
-    return Slice(n_in, n_out, (label,), edges)
+    return Slice(n_in, n_out, label, edges)
 
 
 def can_glue(s1: Slice, s2: Slice) -> bool:
     return s1.n_out == s2.n_in
-
-
-def glue(s1: Slice, s2: Slice) -> Slice:
-    """Glue two slices, fusing out-frontier ports of s1 with in-ports of s2.
-
-    For each port k, the edge of s1 targeting out-port k and the edge of s2
-    sourced at in-port k are replaced by one edge from the former's source to
-    the latter's target; the glued frontier vertices disappear.
-    """
-    if not can_glue(s1, s2):
-        raise InputError(
-            f"cannot glue: left slice has {s1.n_out} out-ports, right has {s2.n_in} in-ports")
-    off = len(s1.center_labels)
-
-    def left(end):
-        return end  # ("i", k) and ("c", j) keep their identity
-
-    def right(end):
-        if end[0] == "c":
-            return ("c", end[1] + off)
-        return end  # ("o", k) keeps its number in the result
-
-    out_edge = {}
-    for src, dst in s1.edges:
-        if dst[0] == "o":
-            out_edge[dst[1]] = src
-    in_edge = {}
-    for src, dst in s2.edges:
-        if src[0] == "i":
-            in_edge[src[1]] = dst
-
-    edges = []
-    for src, dst in s1.edges:
-        if dst[0] != "o":
-            edges.append((left(src), left(dst)))
-    for src, dst in s2.edges:
-        if src[0] != "i":
-            edges.append((right(src), right(dst)))
-    for k in range(1, s1.n_out + 1):
-        edges.append((left(out_edge[k]), right(in_edge[k])))
-    return Slice(s1.n_in, s2.n_out, s1.center_labels + s2.center_labels, edges)
 
 
 class UnitDecomposition:
@@ -208,9 +137,6 @@ class UnitDecomposition:
         self.slices = tuple(slices)
         if not self.slices:
             raise InputError("a unit decomposition is a nonempty sequence")
-        for i, s in enumerate(self.slices):
-            if not s.is_unit():
-                raise InputError(f"slice {i} is not a unit slice")
         if not self.slices[0].is_initial():
             raise InputError("first slice must be initial")
         if not self.slices[-1].is_final():
@@ -242,16 +168,20 @@ class UnitDecomposition:
 
 
 def compose(u: UnitDecomposition) -> LabeledDag:
-    """Fold gluing over the sequence and reinterpret the result as a DAG.
+    """Glue the word's letters into one DAG.
 
     Vertex identity is positional: the i-th slice's center becomes vertex i,
-    and (0, 1, ..., n-1) is a topological ordering of the result.
+    and (0, 1, ..., n-1) is a topological ordering of the result. `sources`
+    holds the vertex each open port's edge starts at.
     """
-    acc = u.slices[0]
-    for s in u.slices[1:]:
-        acc = glue(acc, s)
-    labels = {i: lab for i, lab in enumerate(acc.center_labels)}
-    edges = [(src[1], dst[1]) for src, dst in acc.edges]
+    labels, edges, sources = {}, [], []
+    for v, s in enumerate(u.slices):
+        labels[v] = s.label
+        edges += [(sources[p - 1], v) for p in s.closing_ports]
+        carried = [v] * s.n_out  # every port not bypassed is born at v
+        for p, q in s.bypass_map.items():
+            carried[q - 1] = sources[p - 1]
+        sources = carried
     return LabeledDag(labels, edges)
 
 
@@ -363,7 +293,7 @@ def _decompositions_for_ordering(h: LabeledDag, omega: tuple, c: int) -> Iterato
                 u, w = h.edges[e]
                 if u == v:
                     edges.append((("c", 0), ("o", p)))
-            slices.append(Slice(len(prev), len(cur), (h.labels[v],), edges))
+            slices.append(Slice(len(prev), len(cur), h.labels[v], edges))
         yield UnitDecomposition(slices)
 
 
@@ -377,9 +307,6 @@ _ENDPOINT_RE = re.compile(r"^(i(\d+)|o(\d+)|c)$")
 
 def to_literal(s: Slice) -> str:
     """Render a unit slice as `slice{in:K; out:M; center:LABEL; edges: ...}`."""
-    if not s.is_unit():
-        raise InputError("slice literals denote unit slices only")
-
     def end(e):
         if e[0] == "c":
             return "c"
@@ -403,7 +330,7 @@ def from_literal(text: str) -> Slice:
                 raise InputError(f"malformed edge in slice literal: {item!r}")
             edges.append((_parse_endpoint(parts[0].strip()),
                           _parse_endpoint(parts[1].strip())))
-    return Slice(n_in, n_out, (label,), edges)
+    return Slice(n_in, n_out, label, edges)
 
 
 def _parse_endpoint(tok: str):

@@ -303,6 +303,13 @@ REPEATS_AND_ERRORS = {
                         "line 3: word 'final' given twice"),
 }
 REPEATS = {name: text for name, (text, _) in REPEATS_AND_ERRORS.items()}
+# a slice literal that does not parse, or that is no slice, on a trans line
+BAD_LITERALS = {
+    "bad-endpoint.aut": (_AUT + "trans 0 slice{in:0; out:0; center:a; edges: x->y} 1\n",
+                         "line 4: malformed slice endpoint: 'x'"),
+    "center-loop.aut": (_AUT + "trans 0 slice{in:0; out:0; center:a; edges: c->c} 1\n",
+                        "line 4: slice has a loop at its center"),
+}
 
 # malformed numbers and literals in input files
 BAD_FILES = {
@@ -326,6 +333,7 @@ BAD_FILES = {
                             "place init=1 take(a)=1 put(a)=1 mult=\u00b2\n",
     # a line, a field or a flag given twice
     **REPEATS,
+    **{name: text for name, (text, _) in BAD_LITERALS.items()},
 }
 
 
@@ -346,6 +354,7 @@ BAD_FILES = {
     *(["net-automaton", "--net", name, "--c", "1", "--sem", "ex"]
       for name in REPEATS if name.endswith(".net")),
     *(["aut", "empty", name] for name in REPEATS if name.endswith(".aut")),
+    *(["aut", "empty", name] for name in BAD_LITERALS),
 ])
 def test_bad_arguments_exit_three_without_traceback(files, args):
     write, tmp = files
@@ -367,6 +376,14 @@ def test_repeats_name_their_line(files, capsys, name):
     args = ["net-automaton", "--net", path, "--c", "1", "--sem", "ex"] \
         if name.endswith(".net") else ["aut", "empty", path]
     assert main(args) == 3
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("name", sorted(BAD_LITERALS))
+def test_bad_literal_names_its_line(files, capsys, name):
+    write, _ = files
+    text, error = BAD_LITERALS[name]
+    assert main(["aut", "empty", write(name, text)]) == 3
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
 

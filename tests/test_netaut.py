@@ -1,6 +1,7 @@
 """Behavior automata of nets versus the process-enumeration oracles."""
 
 import collections
+import hashlib
 import itertools
 
 import pytest
@@ -70,6 +71,17 @@ class TestStructure:
     def test_bad_semantics_name(self, nets):
         with pytest.raises(InputError):
             net_automaton(nets["N0"], 1, "weird")
+
+    @pytest.mark.parametrize("name, sem, digest", [
+        ("N0", "ex", "4f720050aecb9f6e80a3edf656cddcb47c5bed33f234b1a604f683b96de9be17"),
+        ("N1", "ex", "1670e55117de27dd0df26007d48b80f8f0179b6ed2c58e9632aa61b8d30843c2"),
+        ("N2", "ex", "1155a824b9cdc348a2a4478888d7b1112138436029e8fd0929fd7a96205f46f7"),
+        ("N3", "cau", "e80eedde23894a43f9db465dddd0dbada7e57c0729700ebcdd9b5798953b6bbe"),
+    ])
+    def test_text_is_pinned(self, name, sem, digest):
+        # any drift in state numbering, letter order or literal spelling shows here
+        text = cached_net_automaton(name, 3, sem).to_text()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestKnownBehaviors:

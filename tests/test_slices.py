@@ -1,15 +1,13 @@
-"""Slices, gluing, composition, the unit alphabet, decomposition enumeration."""
-
-import itertools
+"""Slices, composition, the unit alphabet, decomposition enumeration."""
 
 import pytest
 
-from slw.automata import letter_base
+from slw.automata import letter_base, valid_sequences
 from slw.config import InputError, ResourceError, RunConfig
 from slw.constructions import transitive_reduce_automaton
 from slw.dag import LabeledDag, all_dags, dags_isomorphic
-from slw.slices import (UnitDecomposition, can_glue, compose, from_literal, glue,
-                        to_literal, unit_alphabet, unit_decompositions, unit_slice)
+from slw.slices import (UnitDecomposition, can_glue, compose, from_literal, to_literal,
+                        unit_alphabet, unit_decompositions, unit_slice)
 
 from conftest import cached_net_automaton
 
@@ -22,35 +20,29 @@ class TestGlue:
         assert not can_glue(unit_slice("t", 0, 0), s2)
         assert can_glue(unit_slice("t", 1, 0), unit_slice("t", 0, 0))
 
-    def test_two_vertex_chain(self):
-        s1 = unit_slice("a", 0, 1)
-        s2 = unit_slice("b", 1, 0)
-        g = glue(s1, s2)
-        assert g.center_labels == ("a", "b")
-        assert g.edges == ((("c", 0), ("c", 1)),)
+    def test_word_whose_neighbours_do_not_glue(self):
+        with pytest.raises(InputError, match="^slice 0 cannot be glued to slice 1$"):
+            UnitDecomposition([unit_slice("a", 0, 1), unit_slice("b", 2, 0)])
 
-    def test_mismatch_reports_sizes(self):
-        with pytest.raises(InputError, match="0 out-ports.*1 in-ports"):
-            glue(unit_slice("a", 0, 0), unit_slice("b", 1, 0))
 
-    def test_bypass_fusion(self):
-        # bypass i1->o1 with isolated center, glued onto a final slice
-        s1 = unit_slice("a", 1, 1, bypass={1: 1})
-        s2 = unit_slice("b", 1, 0)
-        g = glue(s1, s2)
-        # the bypass edge now runs from the original in-port into the new center
-        assert (("i", 1), ("c", 1)) in g.edges
-        assert g.center_labels == ("a", "b")
+def _glue_fold(u):
+    """compose as it was once written, kept as the reference: fold the gluing
+    of two slices over the word, each slice a tuple of center labels and a
+    list of endpoint edges, and read the result as a DAG."""
+    labels, edges = (), []
+    for s in u:
+        off = len(labels)
 
-    def test_associativity(self):
-        letters = unit_alphabet(2, ("t",))
-        triples = 0
-        for s1, s2, s3 in itertools.product(letters, repeat=3):
-            if not (can_glue(s1, s2) and can_glue(s2, s3)):
-                continue
-            triples += 1
-            assert glue(glue(s1, s2), s3) == glue(s1, glue(s2, s3))
-        assert triples > 100
+        def shift(end):
+            return ("c", end[1] + off) if end[0] == "c" else end
+
+        out_edge = {dst[1]: src for src, dst in edges if dst[0] == "o"}
+        in_edge = {src[1]: dst for src, dst in s.edges if src[0] == "i"}
+        edges = ([(src, dst) for src, dst in edges if dst[0] != "o"]
+                 + [(shift(src), shift(dst)) for src, dst in s.edges if src[0] != "i"]
+                 + [(out_edge[k], shift(in_edge[k])) for k in range(1, s.n_in + 1)])
+        labels += (s.label,)
+    return LabeledDag(dict(enumerate(labels)), [(src[1], dst[1]) for src, dst in edges])
 
 
 class TestCompose:
@@ -70,6 +62,15 @@ class TestCompose:
         d = compose(u)
         assert d.edges == ((0, 1), (1, 2))
         assert [d.labels[i] for i in range(3)] == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("c, labels", [(2, ("a", "b")), (3, ("a",))])
+    def test_equals_glue_fold(self, c, labels):
+        words = list(valid_sequences(c, labels).enumerate_words(4))
+        assert len(words) == {2: 2830, 3: 3491}[c]
+        for w in words:
+            u = UnitDecomposition(w)
+            d, ref = compose(u), _glue_fold(u)
+            assert (d.labels, d.edges) == (ref.labels, ref.edges), u
 
 
 # The port facts as Slice methods used to derive them, kept as the reference.
@@ -133,7 +134,15 @@ class TestUnitAlphabet:
         letters = unit_alphabet(2, ("a", "b"))
         assert len(set(letters)) == len(letters)
         for s in letters:
-            assert s.is_unit() and s.width() <= 2
+            assert s.label in ("a", "b") and s.width() <= 2
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_letter_order(self, c):
+        # letters sort as when a slice held a tuple of center labels; .aut text
+        # lists each state's letters in this order
+        letters = unit_alphabet(c, ("a", "b"))
+        assert list(letters) == sorted(letters, key=lambda s: (s.n_in, s.n_out, (s.label,),
+                                                               s.edges))
 
 
 class TestLiterals:

@@ -47,6 +47,16 @@ class TestRoundTrips:
         net = {**make_fixture_nets(), **WEIGHTED}[name]
         assert net_record(PtNet.from_text(net.to_text())) == net_record(net)
 
+    def test_equal_places_keep_names_and_order(self):
+        # p and r have equal flows but q stands between them
+        text = ("net x bound=1\ntransitions a\n"
+                "place p init=1 take(a)=1 put(a)=1\n"
+                "place q init=0 take(a)=1 put(a)=1\n"
+                "place r init=1 take(a)=1 put(a)=1\n")
+        net = PtNet.from_text(text)
+        assert net.to_text() == text
+        assert [p.name for p in PtNet.from_text(net.to_text()).places] == ["p", "q", "r"]
+
     @pytest.mark.parametrize("sem", ["ex", "cau"])
     @pytest.mark.parametrize("c", [1, 2, 3])
     @pytest.mark.parametrize("name", ["N0", "N1", "N2", "N3"])
