@@ -3,16 +3,21 @@
 A slice has numbered in-ports and out-ports; gluing fuses the edge entering
 out-port k with the edge leaving in-port k. A DAG is cut into a sequence of
 unit slices (one center vertex each) along a topological ordering, and the
-sequence's width is the largest frontier it ever carries.
+sequence's width is the largest frontier it ever carries. A unit slice is
+built from its center's label, its two port counts and its bypass map, the
+in-ports whose edge crosses to an out-port; every other port's edge meets
+the center.
 """
 
 from slw import LabeledDag, UnitDecomposition, compose, to_literal, unit_alphabet
-from slw import unit_decompositions, unit_slice
+from slw import Slice, unit_decompositions
 
 # Two letters glued into the two-vertex chain a -> b.
-first = unit_slice("a", 0, 1)
-second = unit_slice("b", 1, 0)
+first = Slice("a", 0, 1)
+second = Slice("b", 1, 0)
 print("letters:", to_literal(first), "+", to_literal(second))
+# A letter whose in-port 1 bypasses its center to out-port 2.
+print("bypassing letter:", to_literal(Slice("a", 1, 2, {1: 2})))
 print("composed DAG:", compose(UnitDecomposition([first, second])))
 print()
 

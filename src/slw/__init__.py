@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .config import DEFAULT_CONFIG, InputError, PreconditionError, ResourceError, RunConfig
 from .dag import LabeledDag, LabeledPoset, dedup_posets
 from .slices import (Slice, UnitDecomposition, can_glue, compose, from_literal, to_literal,
-                     unit_alphabet, unit_decompositions, unit_slice)
+                     unit_alphabet, unit_decompositions)
 from .automata import (SliceAutomaton, common_word, difference, disjoint, equivalent,
                        from_decompositions, includes, intersect, union, valid_sequences)
 from .constructions import (check_saturated_upto, coverable_automaton, poset_complement,

@@ -329,8 +329,7 @@ class SliceAutomaton:
         if "c" not in fields or "alphabet" not in fields:
             raise InputError(f"line {n}: header must declare c= and alphabet=")
         c, labels = count(n, "c", fields["c"]), tuple(fields["alphabet"].split(","))
-        # c < 1 is rejected by unit_alphabet below, after the body's own errors
-        table = literal_table(c, labels) if c >= 1 else {}
+        table = literal_table(c, labels)
         states, initial, finals, trans = {}, None, set(), []
         for n, ln in rows:
             parts = ln.split(None, 2)
@@ -345,11 +344,15 @@ class SliceAutomaton:
                         raise InputError(f"line {n}: transition names undeclared state {q!r}")
                 literal = body[: lit_end + 1]
                 letter = table.get(literal)
-                if letter is None:
+                if letter is None:  # spelled out of order, or outside the alphabet
                     try:
-                        letter = from_literal(literal)
+                        literal = to_literal(from_literal(literal))
                     except InputError as err:
                         raise InputError(f"line {n}: {err}") from None
+                    letter = table.get(literal)
+                    if letter is None:
+                        raise InputError(f"line {n}: transition letter not in the "
+                                         f"declared alphabet: {literal}")
                 trans.append((parts[1], letter, dst))
             elif parts[0] == "state":
                 names, fields = split_fields(n, ln.split()[1:])
@@ -371,9 +374,8 @@ class SliceAutomaton:
                 raise InputError(f"line {n}: unexpected line in automaton file: {ln!r}")
         if initial is None:
             raise InputError("no initial state declared")
-        alphabet = unit_alphabet(c, labels)
-        return SliceAutomaton(c, labels, alphabet, initial, finals, trans, states=states,
-                              saturated="saturated" in claims or None,
+        return SliceAutomaton(c, labels, unit_alphabet(c, labels), initial, finals, trans,
+                              states=states, saturated="saturated" in claims or None,
                               transitively_reduced="reduced" in claims or None)
 
     def __repr__(self):

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .automata import SliceAutomaton, difference, explore, includes, letter_base, sequences
 from .config import DEFAULT_CONFIG, InputError, PreconditionError, RunConfig
-from .slices import Slice, unit_alphabet, unit_decompositions, unit_slice
+from .slices import Slice, unit_alphabet, unit_decompositions
 
 
 class _Frontier:
@@ -199,7 +199,7 @@ def transitive_reduce_automaton(a: SliceAutomaton,
                 real_out = [o for o, t in enumerate(new_tags, 1) if t == "r"]
                 bypass = {real_in.index(p) + 1: real_out.index(o) + 1
                           for p, o in letter.bypass_map.items() if tags[p - 1] == "r"}
-                yield (unit_slice(letter.label, len(real_in), len(real_out), bypass),
+                yield (Slice(letter.label, len(real_in), len(real_out), bypass),
                        (q2, fr.new_channels, fr.new_reach, tuple(new_tags)))
 
     return explore((0, (), frozenset(), ()), expand,

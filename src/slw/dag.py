@@ -67,12 +67,6 @@ class LabeledDag:
     def successors(self, v) -> list:
         return [w for u, w in self.edges if u == v]
 
-    def out_degree(self, v) -> int:
-        return sum(1 for u, _ in self.edges if u == v)
-
-    def in_degree(self, v) -> int:
-        return sum(1 for _, w in self.edges if w == v)
-
     def __eq__(self, other):
         return (isinstance(other, LabeledDag)
                 and self.labels == other.labels and self.edges == other.edges)
@@ -338,10 +332,6 @@ def dedup_posets(posets: Iterable) -> list:
     for p in posets:
         by_key.setdefault(p.canonical_key(), p)
     return [by_key[k] for k in sorted(by_key)]
-
-
-def dags_isomorphic(a: LabeledDag, b: LabeledDag) -> bool:
-    return a.canonical_key() == b.canonical_key()
 
 
 def all_dags(n: int, labels: Sequence) -> Iterator[LabeledDag]:

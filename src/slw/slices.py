@@ -1,13 +1,15 @@
 """Unit slices, composition, the unit alphabet, and decomposition enumeration.
 
 A slice is a DAG fragment with numbered in-ports and out-ports and one center
-vertex; it serves as an automaton letter. A word of slices whose neighbours
+vertex; it serves as an automaton letter, built from its label, its port
+counts and its bypass map (see `Slice`). A word of slices whose neighbours
 glue (out-ports of one match the in-ports of the next) composes into a DAG.
 Letters are identified structurally (the center is anonymous, ports keep
 their numbers), so equality and hashing are decidable and canonical.
 
 Endpoint encoding inside a slice: ("i", k) is in-port k, ("o", k) is out-port
-k (both 1-based), and ("c", 0) is the center.
+k (both 1-based), and ("c", 0) is the center. Only a slice literal spells an
+edge list, and `from_literal` judges it.
 """
 
 from __future__ import annotations
@@ -16,62 +18,47 @@ import itertools
 import re
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, MAX_ENUM_EDGES, InputError, ResourceError, RunConfig
 from .dag import LabeledDag
 
 
 class Slice:
-    """A unit slice: one center vertex with label `label`, numbered frontier ports.
+    """A unit slice: one center vertex labeled `label`, `n_in` in-ports and
+    `n_out` out-ports, numbered from 1.
 
-    Construction also records, for reading the slice as a letter, where each
-    frontier port goes:
+    The bypass map sends each in-port whose edge crosses the slice to the
+    out-port it leaves by, and must be injective. Every other in-port's edge
+    ends at the center, and every other out-port's edge starts there, so the
+    label, the port counts and the bypass map are the whole letter.
+    Construction records, for reading it:
 
-    - `closing_ports`: the in-ports whose edge ends at the center, as a sorted
-      tuple;
-    - `bypass_map`: in-port -> out-port for the edges that cross the slice
-      without touching the center, in increasing in-port order. The dict is
-      shared by every reader of the slice and must not be written to;
-    - `born_ports`: the out-ports whose edge starts at the center, as a sorted
-      tuple.
+    - `closing_ports`: the in-ports whose edge ends at the center, sorted;
+    - `bypass_map`: in-port -> out-port, in increasing in-port order. The dict
+      is shared by every reader of the slice and must not be written to;
+    - `born_ports`: the out-ports whose edge starts at the center, sorted;
+    - `edges`: every edge as a (source, target) pair of endpoints, sorted.
     """
 
     __slots__ = ("n_in", "n_out", "label", "edges", "_hash",
                  "closing_ports", "bypass_map", "born_ports")
 
-    def __init__(self, n_in: int, n_out: int, label, edges: Iterable[tuple]):
-        self.n_in = n_in
-        self.n_out = n_out
-        self.label = label
-        self.edges = tuple(sorted(edges))
-        self._hash = hash((self.n_in, self.n_out, self.label, self.edges))
-        self._validate()
-        self.closing_ports = tuple(sorted(s[1] for s, d in self.edges
-                                          if s[0] == "i" and d[0] == "c"))
-        self.bypass_map = {s[1]: d[1] for s, d in self.edges if s[0] == "i" and d[0] == "o"}
-        self.born_ports = tuple(sorted(d[1] for s, d in self.edges
-                                       if s[0] == "c" and d[0] == "o"))
-
-    def _validate(self):
-        in_seen = [0] * self.n_in
-        out_seen = [0] * self.n_out
-        for src, dst in self.edges:
-            if src[0] not in ("i", "c") or dst[0] not in ("c", "o"):
-                raise InputError(f"edge {src}->{dst} violates frontier direction")
-            if src[0] == dst[0] == "c":
-                raise InputError("slice has a loop at its center")
-            for end, seen, limit, kind in ((src, in_seen, self.n_in, "i"),
-                                           (dst, out_seen, self.n_out, "o")):
-                if end[0] == kind:
-                    k = end[1]
-                    if not (1 <= k <= limit):
-                        raise InputError(f"port {end} out of range")
-                    seen[k - 1] += 1
-                elif end != ("c", 0):
-                    raise InputError(f"center index {end} out of range")
-        if any(c != 1 for c in in_seen) or any(c != 1 for c in out_seen):
-            raise InputError("every frontier port must be the endpoint of exactly one edge")
+    def __init__(self, label, n_in: int, n_out: int, bypass: Optional[dict] = None):
+        bypass = dict(sorted((bypass or {}).items()))
+        fed = set(bypass.values())
+        if not all(1 <= p <= n_in and 1 <= q <= n_out for p, q in bypass.items()):
+            raise InputError("bypass map must send in-ports to out-ports")
+        if len(fed) != len(bypass):
+            raise InputError("bypass map must be injective")
+        self.label, self.n_in, self.n_out, self.bypass_map = label, n_in, n_out, bypass
+        self.closing_ports = tuple(p for p in range(1, n_in + 1) if p not in bypass)
+        self.born_ports = tuple(q for q in range(1, n_out + 1) if q not in fed)
+        # in sorted order: the center's edges, then each in-port's
+        self.edges = (tuple((("c", 0), ("o", q)) for q in self.born_ports)
+                      + tuple((("i", p), ("o", bypass[p]) if p in bypass else ("c", 0))
+                              for p in range(1, n_in + 1)))
+        self._hash = hash((n_in, n_out, label, self.edges))
 
     # -- views ----------------------------------------------------------------
 
@@ -100,28 +87,6 @@ class Slice:
 
     def __repr__(self):
         return to_literal(self)
-
-
-def unit_slice(label, n_in: int, n_out: int, bypass: Optional[dict] = None) -> Slice:
-    """Build a unit slice from its bypass structure.
-
-    Non-bypassed in-ports point at the center; non-bypassed out-ports are fed
-    by the center.
-    """
-    bypass = dict(bypass or {})
-    edges = []
-    for i in range(1, n_in + 1):
-        if i in bypass:
-            edges.append((("i", i), ("o", bypass[i])))
-        else:
-            edges.append((("i", i), ("c", 0)))
-    fed = set(bypass.values())
-    if len(fed) != len(bypass):
-        raise InputError("bypass map must be injective")
-    for o in range(1, n_out + 1):
-        if o not in fed:
-            edges.append((("c", 0), ("o", o)))
-    return Slice(n_in, n_out, label, edges)
 
 
 def can_glue(s1: Slice, s2: Slice) -> bool:
@@ -205,13 +170,9 @@ def unit_alphabet(c: int, labels: tuple) -> tuple:
         if not _LABEL_RE.fullmatch(str(lab)):
             raise InputError(f"label {lab!r} in alphabet {text!r} is not letters, digits "
                              "and underscores")
-    letters = []
-    for n_in in range(c + 1):
-        for n_out in range(c + 1):
-            for bypass in _partial_injections(n_in, n_out):
-                for lab in labels:
-                    letters.append(unit_slice(lab, n_in, n_out, bypass))
-    return tuple(sorted(letters))
+    return tuple(sorted(Slice(lab, n_in, n_out, bypass)
+                        for n_in in range(c + 1) for n_out in range(c + 1)
+                        for bypass in _partial_injections(n_in, n_out) for lab in labels))
 
 
 @lru_cache(maxsize=None)
@@ -276,25 +237,13 @@ def _decompositions_for_ordering(h: LabeledDag, omega: tuple, c: int) -> Iterato
     choice_spaces = [list(itertools.permutations(range(1, len(cut) + 1)))
                      for cut in cuts[:-1]]
     for assignment in itertools.product(*choice_spaces):
-        port_of = [dict(zip(cuts[i], assignment[i])) for i in range(n - 1)]
-        port_of.append({})
-        slices = []
-        for i, v in enumerate(omega):
-            prev = port_of[i - 1] if i > 0 else {}
-            cur = port_of[i]
-            edges = []
-            for e, p in prev.items():
-                u, w = h.edges[e]
-                if w == v:
-                    edges.append((("i", p), ("c", 0)))
-                else:
-                    edges.append((("i", p), ("o", cur[e])))
-            for e, p in cur.items():
-                u, w = h.edges[e]
-                if u == v:
-                    edges.append((("c", 0), ("o", p)))
-            slices.append(Slice(len(prev), len(cur), h.labels[v], edges))
-        yield UnitDecomposition(slices)
+        # port_of[i]: the ports of the cut before omega[i]; an open edge that
+        # does not end at omega[i] passes it, to its port in the next cut
+        port_of = [{}, *(dict(zip(cut, ports)) for cut, ports in zip(cuts, assignment)), {}]
+        yield UnitDecomposition(
+            Slice(h.labels[v], len(port_of[i]), len(port_of[i + 1]),
+                  {p: port_of[i + 1][e] for e, p in port_of[i].items() if h.edges[e][1] != v})
+            for i, v in enumerate(omega))
 
 
 # -- textual slice literals ---------------------------------------------------
@@ -317,6 +266,8 @@ def to_literal(s: Slice) -> str:
 
 
 def from_literal(text: str) -> Slice:
+    """The letter a literal spells. Its edge list must give every port exactly
+    one edge and may not loop at the center; the bypass edges build the letter."""
     m = _LITERAL_RE.match(text.strip())
     if not m:
         raise InputError(f"malformed slice literal: {text!r}")
@@ -330,7 +281,21 @@ def from_literal(text: str) -> Slice:
                 raise InputError(f"malformed edge in slice literal: {item!r}")
             edges.append((_parse_endpoint(parts[0].strip()),
                           _parse_endpoint(parts[1].strip())))
-    return Slice(n_in, n_out, label, edges)
+    seen = {"i": [0] * n_in, "o": [0] * n_out}
+    for src, dst in sorted(edges):
+        if src[0] == "o" or dst[0] == "i":
+            raise InputError(f"edge {src}->{dst} violates frontier direction")
+        if src[0] == dst[0] == "c":
+            raise InputError("slice has a loop at its center")
+        for kind, k in (src, dst):
+            if kind != "c":
+                if not 1 <= k <= len(seen[kind]):
+                    raise InputError(f"port {(kind, k)} out of range")
+                seen[kind][k - 1] += 1
+    if any(n != 1 for n in seen["i"] + seen["o"]):
+        raise InputError("every frontier port must be the endpoint of exactly one edge")
+    return Slice(label, n_in, n_out, {src[1]: dst[1] for src, dst in edges
+                                      if src[0] == "i" and dst[0] == "o"})
 
 
 def _parse_endpoint(tok: str):

@@ -60,12 +60,15 @@ class SynthesisSpec:
 
 
 class VerificationReport:
-    def __init__(self, disjoint: bool, net_subset_of_spec: bool, spec_subset_of_net: bool,
-                 counterexamples: Optional[dict] = None):
-        self.disjoint = disjoint
-        self.net_subset_of_spec = net_subset_of_spec
-        self.spec_subset_of_net = spec_subset_of_net
+    """The witnesses of a verify run, keyed "common", "net-minus-spec" and
+    "spec-minus-net"; each verdict holds when its witness is absent."""
+
+    def __init__(self, counterexamples: Optional[dict] = None):
         self.counterexamples = {} if counterexamples is None else counterexamples
+
+    disjoint = property(lambda self: "common" not in self.counterexamples)
+    net_subset_of_spec = property(lambda self: "net-minus-spec" not in self.counterexamples)
+    spec_subset_of_net = property(lambda self: "spec-minus-net" not in self.counterexamples)
 
     def to_text(self) -> str:
         lines = ["slw-report v1", "tool verify",
@@ -208,21 +211,16 @@ def verify(net: PtNet, phi: Formula, c: int, sem: str,
     common = common_word(net_aut, spec_aut, config)
     net_minus_spec = counterexample(net_aut, spec_aut, config)
     spec_minus_net = counterexample(spec_aut, net_aut, config)
-    is_disjoint = common is None
-    net_in_spec = net_minus_spec is None
-    spec_in_net = spec_minus_net is None
+    report = VerificationReport({which: _witness_poset(word) for which, word in (
+        ("common", common), ("net-minus-spec", net_minus_spec),
+        ("spec-minus-net", spec_minus_net)) if word is not None})
     if log:
         log.step("behavior and specification disjoint",
-                 "syntactic emptiness of product", is_disjoint)
+                 "syntactic emptiness of product", report.disjoint)
         log.step("behavior within specification",
-                 "syntactic inclusion (specification side saturated)", net_in_spec)
+                 "syntactic inclusion (specification side saturated)", report.net_subset_of_spec)
         log.step("specification within behavior",
-                 "syntactic inclusion (behavior side saturated)", spec_in_net)
-    report = VerificationReport(is_disjoint, net_in_spec, spec_in_net)
-    for which, word in (("common", common), ("net-minus-spec", net_minus_spec),
-                        ("spec-minus-net", spec_minus_net)):
-        if word is not None:
-            report.counterexamples[which] = _witness_poset(word)
+                 "syntactic inclusion (behavior side saturated)", report.spec_subset_of_net)
     _oracle_check_report(net, phi, c, sem, report, config)
     return report
 

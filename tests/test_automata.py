@@ -12,17 +12,17 @@ from slw.config import InputError, ResourceError, RunConfig
 from slw.constructions import universal_automaton
 from slw.dag import LabeledDag
 from slw.mso import parse
-from slw.slices import (UnitDecomposition, can_glue, from_literal, to_literal, unit_alphabet,
-                        unit_decompositions, unit_slice)
+from slw.slices import (Slice, UnitDecomposition, can_glue, from_literal, to_literal,
+                        unit_alphabet, unit_decompositions)
 
 from conftest import cached_net_automaton, cached_po_automaton, make_fixture_nets, poset_keys
 
 T = ("t",)
 ALPH = unit_alphabet(1, T)
-INIT_FINAL = unit_slice("t", 0, 0)
-INIT = unit_slice("t", 0, 1)
-MID = unit_slice("t", 1, 1)
-FINAL = unit_slice("t", 1, 0)
+INIT_FINAL = Slice("t", 0, 0)
+INIT = Slice("t", 0, 1)
+MID = Slice("t", 1, 1)
+FINAL = Slice("t", 1, 0)
 
 
 def chain_automaton():
@@ -86,7 +86,7 @@ def _miswired(aut, every: int):
                 n_in = (n_in + 1) % (c + 1)
             else:
                 n_out = (n_out + 1) % (c + 1)
-            s = unit_slice(s.label, n_in, n_out)
+            s = Slice(s.label, n_in, n_out)
         trans.append((q, s, q2))
     return SliceAutomaton(c, aut.labels, aut.alphabet, 0, aut.finals, trans, states=aut.states)
 

@@ -15,7 +15,7 @@ from slw.cli import main
 from slw.dag import LabeledPoset
 from slw.mso import expand_builtins, parse, to_text
 from slw.synthesis import VerificationReport
-from slw.slices import unit_slice
+from slw.slices import Slice
 
 from conftest import make_fixture_nets
 from slw import corpus
@@ -56,7 +56,7 @@ def test_verify_text_lists_labels_in_vertex_order(files, capsys, monkeypatch):
     chain = LabeledPoset({v: "a" if v < 10 else "b" for v in range(11)},
                          [(u, v) for u in range(11) for v in range(u + 1, 11)])
     monkeypatch.setattr(cli, "verify",
-                        lambda *args: VerificationReport(False, True, True, {"common": chain}))
+                        lambda *args: VerificationReport({"common": chain}))
     net = write("n1.net", N1_TEXT)
     phi = write("total.mso", corpus.TOTAL_ORDER)
     assert main(["verify", "--net", net, "--mso", phi, "--c", "1", "--sem", "ex"]) == 0
@@ -130,7 +130,7 @@ def test_net_automaton_then_aut_ops(files, capsys):
 
 def test_members_list_vertices_in_numeric_order(files, capsys):
     write, _ = files
-    chain = [unit_slice("ab"[i % 2], 0 if i == 0 else 1, 0 if i == 10 else 1)
+    chain = [Slice("ab"[i % 2], 0 if i == 0 else 1, 0 if i == 10 else 1)
              for i in range(11)]
     aut = write("chain.aut", from_decompositions(1, ("a", "b"), [chain]).to_text())
     assert main(["--max-enum", "11", "aut", "members", aut, "--n", "11"]) == 0
@@ -552,8 +552,15 @@ def test_literal_outside_the_alphabet_exits_three(files, capsys):
     write, _ = files
     text = BAD_FILES["flag-typo.aut"].replace("finale", "final").replace("center:a", "center:z")
     assert main(["aut", "empty", write("z.aut", text)]) == 3
-    assert capsys.readouterr().err == ("error: transition letter not in the declared alphabet: "
-                                       "slice{in:0; out:0; center:z; edges: }\n")
+    assert capsys.readouterr().err == ("error: line 4: transition letter not in the declared "
+                                       "alphabet: slice{in:0; out:0; center:z; edges: }\n")
+    # too wide for c=1, and spelled out of order: the message spells it canonically
+    text = BAD_FILES["flag-typo.aut"].replace("finale", "final").replace(
+        "out:0; center:a; edges: ", "out:3; center:a; edges: c->o3, c->o1, c->o2")
+    assert main(["aut", "empty", write("wide.aut", text)]) == 3
+    assert capsys.readouterr().err == ("error: line 4: transition letter not in the declared "
+                                       "alphabet: slice{in:0; out:3; center:a; "
+                                       "edges: c->o1, c->o2, c->o3}\n")
 
 
 # one unit decomposition of the antichain a||b, whose header claims more

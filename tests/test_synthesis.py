@@ -348,7 +348,7 @@ class TestVerify:
     def test_report_lists_edges_in_numeric_order(self):
         chain = LabeledPoset({v: "a" for v in range(11)},
                              [(u, v) for u in range(11) for v in range(u + 1, 11)])
-        text = VerificationReport(False, True, True, {"common": chain}).to_text()
+        text = VerificationReport({"common": chain}).to_text()
         lines = text.splitlines()
         assert [ln.split()[1] for ln in lines if ln.startswith("  vertex")] \
             == [str(v) for v in range(11)]
