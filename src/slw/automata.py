@@ -329,7 +329,10 @@ class SliceAutomaton:
         if "c" not in fields or "alphabet" not in fields:
             raise InputError(f"line {n}: header must declare c= and alphabet=")
         c, labels = count(n, "c", fields["c"]), tuple(fields["alphabet"].split(","))
-        table = literal_table(c, labels)
+        try:
+            table = literal_table(c, labels)
+        except InputError as err:
+            raise InputError(f"line {n}: {err}") from None
         states, initial, finals, trans = {}, None, set(), []
         for n, ln in rows:
             parts = ln.split(None, 2)

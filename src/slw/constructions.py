@@ -6,7 +6,10 @@ least one edge (a transitively closed, acyclic relation), and, where path
 covering matters, how a budget of path slots rides the channels. Everything
 a construction verifies at the closure of a channel is derivable from this
 summary, which keeps the state space finite. The reduced, coverable and
-universal automata are `automata.sequences` over these summaries.
+universal automata are `automata.sequences` over these summaries. A summary
+holds the set of slot placements that some reading of its word allows, not
+one guessed placement, so the coverable and universal automata are
+deterministic.
 """
 
 from __future__ import annotations
@@ -144,25 +147,41 @@ def universal_automaton(c: int, labels: tuple,
 
 def _summary_automaton(c: int, labels: tuple, name: str, hasse: bool,
                        budget: Optional[int], config: RunConfig, **flags) -> SliceAutomaton:
-    """`sequences` over frontier summaries (channels, reach, slots).
+    """`sequences` over frontier summaries (channels, reach, placements).
 
     With `hasse`, letters that close a transitive or parallel edge are
     rejected, which needs the reach relation; without it the stored reach
-    stays empty. With a budget, that many path slots ride the channels;
-    without one the slots stay empty and unchecked. The frontier step reads a
-    letter's ports, never its label.
+    stays empty. With a budget, that many path slots ride the channels, and
+    a summary holds the frozenset of slot placements that some reading of
+    the word allows: a letter leads to the union of `_slot_assignments` over
+    that set, and is rejected when the union is empty. So each summary has
+    at most one successor per letter, and the automaton is deterministic by
+    construction (the subset construction applied to the slots alone).
+    Without a budget the placements stay empty and unchecked. The frontier
+    step reads a letter's ports, never its label.
     """
+    assignments: dict = {}  # (placement, letter edges) -> its slot updates, for this build
+
     def step(summary, letter):
-        channels, reach, slots = summary
+        channels, reach, placements = summary
         fr = _Frontier(channels, reach, letter)
         if hasse and not fr.hasse_ok():
             return ()
         new_reach = fr.new_reach if hasse else frozenset()
-        slot_choices = ((),) if budget is None else _slot_assignments(slots, fr)
-        return [(fr.new_channels, new_reach, new_slots) for new_slots in slot_choices]
+        if budget is None:
+            return ((fr.new_channels, new_reach, placements),)
+        reachable = set()
+        for slots in placements:
+            key = (slots, letter.edges)
+            updates = assignments.get(key)
+            if updates is None:
+                updates = assignments[key] = tuple(_slot_assignments(slots, fr))
+            reachable.update(updates)
+        return ((fr.new_channels, new_reach, frozenset(reachable)),) if reachable else ()
 
-    init_slots = () if budget is None else ("u",) * budget
-    return sequences(c, labels, unit_alphabet(c, labels), ((), frozenset(), init_slots), step,
+    init_placements = frozenset() if budget is None else frozenset({("u",) * budget})
+    return sequences(c, labels, unit_alphabet(c, labels),
+                     ((), frozenset(), init_placements), step,
                      lambda summary: True, name=name, config=config, **flags)
 
 

@@ -2,7 +2,8 @@
 
 The token game is played on the universal automaton: a state pairs a state of
 universal_automaton(c, T), which admits exactly the unit decompositions of
-Hasse diagrams coverable by c paths, with one run per place: its token multiset
+Hasse diagrams coverable by c paths and is deterministic, so each firing has
+one universal-automaton target, with one run per place: its token multiset
 as sorted (class, count) pairs. A token class (initial, succ, flow) holds two
 sets of open channels (the ports of the current frontier) as sorted tuples:
 
@@ -60,8 +61,8 @@ def net_automaton(net: PtNet, c: int, sem: str,
     succ = univ.successors()
 
     def expand(state):
-        for letter in succ[state[0]]:
-            for nxt in step(state, letter):
+        for letter, targets in succ[state[0]].items():
+            for nxt in step(state, letter, targets):
                 yield letter, nxt
 
     return explore(start, expand, is_final, c, univ.labels, univ.alphabet,
@@ -72,8 +73,9 @@ def net_automaton(net: PtNet, c: int, sem: str,
 def token_game(net: PtNet, c: int, sem: str, config: RunConfig = DEFAULT_CONFIG) -> tuple:
     """The token game of `net`, unbuilt: (start, step, is_final, universal).
 
-    `step(state, letter)` yields the states one letter leads to: each firing
-    of the letter's label, then each universal-automaton target. `is_final`
+    `step(state, letter, targets=None)` yields the states one letter leads
+    to: each firing of the letter's label, then each universal-automaton
+    target, `targets` when the caller has looked them up. `is_final`
     marks the accepting states, and `universal` is universal_automaton(c, T),
     whose letters out of a state's first component are the only ones `step`
     can follow. `net_automaton` explores this game in full; a synthesis probe
@@ -90,9 +92,10 @@ def token_game(net: PtNet, c: int, sem: str, config: RunConfig = DEFAULT_CONFIG)
 
     options: dict = {}  # this game's memo: (run, letter, take, put) -> _place_options
 
-    def step(state, letter):
+    def step(state, letter, targets=None):
         q, runs = state
-        targets = succ[q].get(letter)
+        if targets is None:
+            targets = succ[q].get(letter)
         if targets:
             for new_runs in _firings(runs, letter, *moves[letter.label], options, net.bound,
                                      causal, config.max_states):

@@ -254,14 +254,14 @@ _LITERAL_RE = re.compile(
 _ENDPOINT_RE = re.compile(r"^(i(\d+)|o(\d+)|c)$")
 
 
+def _endpoint_text(end) -> str:
+    """An endpoint as a literal spells it: `c`, `i<k>` or `o<k>`."""
+    return "c" if end[0] == "c" else f"{end[0]}{end[1]}"
+
+
 def to_literal(s: Slice) -> str:
     """Render a unit slice as `slice{in:K; out:M; center:LABEL; edges: ...}`."""
-    def end(e):
-        if e[0] == "c":
-            return "c"
-        return f"{e[0]}{e[1]}"
-
-    edges = ", ".join(f"{end(src)}->{end(dst)}" for src, dst in s.edges)
+    edges = ", ".join(f"{_endpoint_text(src)}->{_endpoint_text(dst)}" for src, dst in s.edges)
     return f"slice{{in:{s.n_in}; out:{s.n_out}; center:{s.label}; edges: {edges}}}"
 
 
@@ -284,13 +284,15 @@ def from_literal(text: str) -> Slice:
     seen = {"i": [0] * n_in, "o": [0] * n_out}
     for src, dst in sorted(edges):
         if src[0] == "o" or dst[0] == "i":
-            raise InputError(f"edge {src}->{dst} violates frontier direction")
+            raise InputError(f"edge {_endpoint_text(src)}->{_endpoint_text(dst)} "
+                             "violates frontier direction")
         if src[0] == dst[0] == "c":
             raise InputError("slice has a loop at its center")
-        for kind, k in (src, dst):
+        for end in (src, dst):
+            kind, k = end
             if kind != "c":
                 if not 1 <= k <= len(seen[kind]):
-                    raise InputError(f"port {(kind, k)} out of range")
+                    raise InputError(f"port {_endpoint_text(end)} out of range")
                 seen[kind][k - 1] += 1
     if any(n != 1 for n in seen["i"] + seen["o"]):
         raise InputError("every frontier port must be the endpoint of exactly one edge")

@@ -310,6 +310,13 @@ BAD_LITERALS = {
     "center-loop.aut": (_AUT + "trans 0 slice{in:0; out:0; center:a; edges: c->c} 1\n",
                         "line 4: slice has a loop at its center"),
 }
+# a header whose width or labels no alphabet can have
+BAD_HEADERS = {
+    "zero-width.aut": ("slice-automaton c=0 alphabet=a\nstate 0 initial\n",
+                       "line 1: width bound must be >= 1"),
+    "repeated-label.aut": ("slice-automaton c=1 alphabet=a,a\nstate 0 initial\n",
+                           "line 1: labels are a set; repeated label in a,a"),
+}
 
 # malformed numbers and literals in input files
 BAD_FILES = {
@@ -334,6 +341,7 @@ BAD_FILES = {
     # a line, a field or a flag given twice
     **REPEATS,
     **{name: text for name, (text, _) in BAD_LITERALS.items()},
+    **{name: text for name, (text, _) in BAD_HEADERS.items()},
 }
 
 
@@ -355,6 +363,7 @@ BAD_FILES = {
       for name in REPEATS if name.endswith(".net")),
     *(["aut", "empty", name] for name in REPEATS if name.endswith(".aut")),
     *(["aut", "empty", name] for name in BAD_LITERALS),
+    *(["aut", "empty", name] for name in BAD_HEADERS),
 ])
 def test_bad_arguments_exit_three_without_traceback(files, args):
     write, tmp = files
@@ -383,6 +392,14 @@ def test_repeats_name_their_line(files, capsys, name):
 def test_bad_literal_names_its_line(files, capsys, name):
     write, _ = files
     text, error = BAD_LITERALS[name]
+    assert main(["aut", "empty", write(name, text)]) == 3
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("name", sorted(BAD_HEADERS))
+def test_bad_header_names_its_line(files, capsys, name):
+    write, _ = files
+    text, error = BAD_HEADERS[name]
     assert main(["aut", "empty", write(name, text)]) == 3
     assert capsys.readouterr() == ("", f"error: {error}\n")
 
@@ -443,7 +460,7 @@ def test_empty_label_exits_three(files, capsys):
     for name, alphabet in (("empty-label.aut", "'a,'"), ("no-label.aut", "''")):
         aut = write(name, BAD_FILES[name])
         assert main(["aut", "members", aut, "--n", "2"]) == 3
-        assert capsys.readouterr() == ("", f"error: empty label in alphabet {alphabet}\n")
+        assert capsys.readouterr() == ("", f"error: line 1: empty label in alphabet {alphabet}\n")
 
 
 # unit_alphabet judges every label once: a label is letters, digits and

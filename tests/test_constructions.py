@@ -70,9 +70,13 @@ class TestUniversal:
         assert fresh and all(fresh)
 
 
-def _reference_summary_automaton(c, labels, name, hasse, budget, **flags):
+def _reference_summary_automaton(c, labels, name, hasse, budget, guess=False, **flags):
     """The summary automaton with one frontier step per letter, as built
-    before letters of one shape shared theirs: the reference for its bytes."""
+    before letters of one shape shared theirs: the reference for its bytes.
+
+    With `guess`, a state holds one guessed slot placement and a letter leads
+    to each legal update, as built before placements were tracked as a set:
+    the nondeterministic reference for the language."""
     alphabet = unit_alphabet(c, labels)
     groups = {}
     for s in alphabet:
@@ -85,11 +89,21 @@ def _reference_summary_automaton(c, labels, name, hasse, budget, **flags):
             if hasse and not fr.hasse_ok():
                 continue
             new_reach = fr.new_reach if hasse else frozenset()
-            for new_slots in ((),) if budget is None else \
-                    constructions._slot_assignments(slots, fr):
+            if budget is None:
+                choices = [slots]
+            elif guess:
+                choices = constructions._slot_assignments(slots, fr)
+            else:
+                union = frozenset(new for old in slots
+                                  for new in constructions._slot_assignments(old, fr))
+                choices = [union] if union else []
+            for new_slots in choices:
                 yield letter, (name, fr.new_channels, new_reach, new_slots)
 
-    init_slots = () if budget is None else ("u",) * budget
+    if budget is None:
+        init_slots = frozenset()
+    else:
+        init_slots = ("u",) * budget if guess else frozenset({("u",) * budget})
     return explore(("start", (), frozenset(), init_slots), expand,
                    lambda state: state[0] != "start" and state[1] == (),
                    c, labels, alphabet, name=name, **flags)
@@ -110,6 +124,29 @@ class TestOneStepPerShape:
         ]
         for built, reference in pairs:
             assert built.to_text() == reference.to_text()
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("labels", [("a",), ("a", "b"), ("a", "b", "c")])
+    def test_slot_sets_keep_the_guessed_language(self, c, labels):
+        pairs = [
+            (universal_automaton(c, labels), _reference_summary_automaton(
+                c, labels, "universal automaton", True, c, guess=True)),
+            (coverable_automaton(c, labels), _reference_summary_automaton(
+                c, labels, "coverable automaton", False, c, guess=True)),
+        ]
+        for built, guessing in pairs:
+            assert equivalent(built, guessing)
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    @pytest.mark.parametrize("labels", [("a",), ("a", "b"), ("a", "b", "c")])
+    def test_universal_and_coverable_are_deterministic(self, c, labels):
+        for built in (universal_automaton(c, labels), coverable_automaton(c, labels)):
+            for row in built.successors():
+                assert all(len(targets) == 1 for targets in row.values())
+
+    def test_universal_size_at_three(self):
+        univ = universal_automaton(3, ("a", "b"))
+        assert (len(univ.states), len(univ.transitions)) == (52, 2040)
 
 
 class TestPrimitives:

@@ -73,10 +73,10 @@ class TestStructure:
             net_automaton(nets["N0"], 1, "weird")
 
     @pytest.mark.parametrize("name, sem, digest", [
-        ("N0", "ex", "4f720050aecb9f6e80a3edf656cddcb47c5bed33f234b1a604f683b96de9be17"),
-        ("N1", "ex", "1670e55117de27dd0df26007d48b80f8f0179b6ed2c58e9632aa61b8d30843c2"),
-        ("N2", "ex", "1155a824b9cdc348a2a4478888d7b1112138436029e8fd0929fd7a96205f46f7"),
-        ("N3", "cau", "e80eedde23894a43f9db465dddd0dbada7e57c0729700ebcdd9b5798953b6bbe"),
+        ("N0", "ex", "0b72229d5fe83f92dc52b9ab5ac48ef5ef3becbe329fc8e00f568e3813c86bda"),
+        ("N1", "ex", "965d4a19b91e7d0e126a2df033b7482d08ad4a666b13b181e9d984a9e74f439a"),
+        ("N2", "ex", "1acc6ab40c7de71e1bf797aa84f811a3cb5ad529795307dc6bf914bb9ddfc9ab"),
+        ("N3", "cau", "c799e2118195fcc371e68a7e9003cde766e56014daa608429c2876e1aced3964"),
     ])
     def test_text_is_pinned(self, name, sem, digest):
         # any drift in state numbering, letter order or literal spelling shows here
@@ -214,10 +214,10 @@ class TestFlowSets:
             == _reference_net_automaton(nets[name], c, "cau").to_text()
 
     def test_ex_games_carry_no_flow_sets(self, nets):
-        # with flow sets the trimmed games have 212, 382 and 196 states
+        # with flow sets the trimmed games have 152, 272 and 148 states
         sizes = {name: len(cached_net_automaton(name, 3, "ex").states)
                  for name in ("N0", "N2", "N3")}
-        assert sizes == {"N0": 158, "N2": 258, "N3": 88}
+        assert sizes == {"N0": 113, "N2": 199, "N3": 79}
 
 
 class TestCanonicalMultisets:
