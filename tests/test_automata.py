@@ -240,6 +240,21 @@ class TestDecisions:
         assert common_word(chain_automaton(), fan) == (INIT_FINAL,)
         assert counterexample(chain_automaton(), fan) == (INIT, FINAL)
 
+    def test_walk_answers_on_the_pair_at_the_cap(self):
+        # each walk reads four pairs, and its answering edge leads to a fifth:
+        # the answer is checked before the cap, so a cap of four answers
+        chain = SliceAutomaton(1, T, ALPH, 0, {4},
+                               [(0, INIT, 1), (1, MID, 2), (2, MID, 3), (3, FINAL, 4)])
+        nothing = SliceAutomaton(1, T, ALPH, 0, [], [])
+        u1 = universal_automaton(1, T)
+        walks = {"inclusion": lambda config: counterexample(chain, nothing, config),
+                 "disjointness": lambda config: common_word(chain, u1, config),
+                 "shortest word": chain.shortest_accepted}
+        for name, walk in walks.items():
+            assert walk(RunConfig(max_states=4)) == (INIT, MID, MID, FINAL)
+            with pytest.raises(ResourceError, match=f"state cap exceeded in {name}"):
+                walk(RunConfig(max_states=3))
+
     def test_inclusion_stops_at_the_first_counterexample(self):
         # N2 runs a and b concurrently, N1 alternates them: the walk meets a
         # counterexample after 4 pairs, while the trimmed difference keeps 201

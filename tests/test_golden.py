@@ -2,8 +2,10 @@
 
 Each entry hashes one output that a refactor must leave alone: the literals of
 a unit alphabet, the `.aut` text of a net's behavior, a compiled formula or a
-transitive reduction, or the exit code, stdout, stderr and written files of
-one benchmark job, run in-process on the benchmark's seed-1 inputs. A change
+transitive reduction, the words the walks return and the Boolean operations'
+`.aut` text on one net and formula, or the exit code, stdout, stderr and
+written files of one benchmark job, run in-process on the benchmark's seed-1
+inputs. A change
 that moves an output on purpose rewrites the file and names every entry that
 changed. To rewrite it, run from the root of a checkout:
 
@@ -20,14 +22,16 @@ from pathlib import Path
 
 import pytest
 
-from slw.automata import valid_sequences
+from slw.automata import (common_word, counterexample, difference, intersect, letter_base,
+                          union, valid_sequences)
 from slw.cli import main
-from slw.constructions import transitive_reduce_automaton
+from slw.constructions import poset_complement, transitive_reduce_automaton
 from slw.corpus import GRAPH_CORPUS, ORDER_CORPUS
 from slw.netaut import net_automaton
 from slw.slices import to_literal, unit_alphabet
 
-from conftest import cached_graph_automaton, cached_net_automaton, cached_po_automaton
+from conftest import (cached_graph_automaton, cached_net_automaton, cached_po_automaton,
+                      make_fixture_nets)
 from test_netaut import WEIGHTED
 from test_synthesis import NOISY
 
@@ -66,6 +70,36 @@ def _formulas():
             yield f"compile_formula {name} c={c}", cached_graph_automaton(text, c, TAB).to_text()
 
 
+def _spell(word) -> str:
+    return "none" if word is None else " ".join(to_literal(letter_base(s)) for s in word)
+
+
+def _walks():
+    """On the net x formula pairs of the walk-word test in test_automata: the
+    words of both inclusion walks, the disjointness walk and `shortest_accepted`,
+    and the text of union, intersection, difference and poset complement."""
+    for c in (1, 2):
+        for sem in ("ex", "cau"):
+            for name, net in make_fixture_nets().items():
+                behavior = cached_net_automaton(name, c, sem)
+                yield (f"walks poset_complement {name} c={c} {sem}",
+                       poset_complement(behavior).to_text())
+                for formula, text in ORDER_CORPUS.items():
+                    spec = cached_po_automaton(text, c, tuple(net.transitions))
+                    both = intersect(behavior, spec)
+                    minus = difference(behavior, spec)
+                    words = (counterexample(behavior, spec), counterexample(spec, behavior),
+                             common_word(behavior, spec), both.shortest_accepted(),
+                             minus.shortest_accepted(), spec.shortest_accepted())
+                    yield (f"walks {name} {formula} c={c} {sem}",
+                           "\n".join(map(_spell, words)) + "\n" + union(behavior, spec).to_text()
+                           + both.to_text() + minus.to_text()
+                           + difference(spec, behavior).to_text())
+        for formula, text in ORDER_CORPUS.items():
+            yield (f"walks poset_complement {formula} c={c}",
+                   poset_complement(cached_po_automaton(text, c, TAB)).to_text())
+
+
 def _jobs():
     """Every benchmark job in the order of seed 1, each stage reading the files
     of the stages before it; temporary paths print as $TMP."""
@@ -86,7 +120,8 @@ def _jobs():
                 yield f"{workload}: {job.name}", text.replace(tmp, "$TMP")
 
 
-GROUPS = {"letters": _letters, "nets": _nets, "formulas": _formulas, "jobs": _jobs}
+GROUPS = {"letters": _letters, "nets": _nets, "formulas": _formulas, "walks": _walks,
+          "jobs": _jobs}
 
 
 def digests(group: str) -> dict:
