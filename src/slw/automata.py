@@ -8,22 +8,23 @@ decompositions; the empty word is never a member.
 
 States are the integers 0..n-1 in the order a construction discovers them,
 with the initial state 0, and each state keeps its out-edges as a list in the
-order they were generated. Every construction is one call of `explore`, so
-output, `.aut` text included, is deterministic by construction: nothing is
-ordered by hash or by `repr`. `sequences` is the one construction of the
-gluing rule of unit decompositions, with a caller's step beside it. Every
-exploration is capped by `RunConfig.max_states`, and the ResourceError names
-the construction.
+order they were generated. `explore` is the one loop that discovers states:
+every construction but `union`, `map_letters` and `trim`, which keep their
+input's order, is one call of it. So output, `.aut` text included, is
+deterministic by construction: nothing is ordered by hash or by `repr`.
+`sequences` is the one construction of the gluing rule of unit
+decompositions, with a caller's step beside it. Every exploration is capped by
+`RunConfig.max_states`, and the ResourceError names the construction.
 
 Automata are immutable and Boolean operations return fresh automata. Nothing
 is memoized on an automaton but its per-state successor index. A difference
 walks the subsets of its right operand on the fly, building only those its
 left operand's words reach. Inclusion, disjointness, emptiness and shortest
-words build no automaton: one walk reads the left operand against subsets of
-the right one, which may be a successor function such as a token game played
-only as far as the walk reads it, and returns the shortest word that escapes
-the right operand (inclusion) or that it accepts too (disjointness). A
-product is built only where it is an output.
+words build no automaton: they run in `explore`'s word mode. One walk reads
+the left operand against subsets of the right one, which may be a successor
+function such as a token game played only as far as the walk reads it, and
+returns the shortest word that escapes the right operand (inclusion) or that
+it accepts too (disjointness). A product is built only where it is an output.
 """
 
 from __future__ import annotations
@@ -249,11 +250,10 @@ class SliceAutomaton:
         yield from rec(0, [])
 
     def shortest_accepted(self, config: RunConfig = DEFAULT_CONFIG) -> Optional[tuple]:
-        """A length-minimal accepted word, or None: the walk against a right
-        operand whose one key never accepts, so its pairs are exactly the
-        reachable states."""
-        return _walk(self, None, lambda k, s: (k,), lambda k: False, config,
-                     name="shortest word")
+        """A length-minimal accepted word, or None: `explore`'s word mode over
+        the states."""
+        return explore(0, self.adj.__getitem__, self.finals.__contains__, self.c, self.labels,
+                       self.alphabet, name="shortest word", config=config, word=True)
 
     def _member_dags(self, n: int, config: RunConfig) -> Iterator[LabeledDag]:
         """The composed DAG of each distinct accepted word of base letters with
@@ -389,34 +389,52 @@ class SliceAutomaton:
 def explore(start, expand, is_final, c: int, labels: Sequence, alphabet: Sequence, *,
             name: str, config: RunConfig = DEFAULT_CONFIG,
             saturated: Optional[bool] = None,
-            transitively_reduced: Optional[bool] = None) -> SliceAutomaton:
+            transitively_reduced: Optional[bool] = None, word: bool = False):
     """The automaton of all keys reachable from `start`, built breadth-first.
 
-    `expand(key)` yields (letter, next key) pairs and `is_final(key)` marks the
-    accepting keys. Keys are any hashable values; each becomes the next integer
-    state when first reached (the start is 0) and is forgotten on return.
-    Out-edges keep the order `expand` yields them, without repeats. Reaching
-    more than `config.max_states` keys raises a ResourceError naming `name`.
+    `expand(key)` yields (letter, next key) pairs and `is_final(key)`, read
+    once per key when it is first reached, marks the accepting keys. Keys are
+    any hashable values; each becomes the next integer state when first
+    reached (the start is 0) and is forgotten on return. Out-edges keep the
+    order `expand` yields them, without repeats. Reaching more than
+    `config.max_states` keys raises a ResourceError naming `name`.
+
+    With `word=True` no automaton is built: the loop stops at the first edge
+    into an accepting key and returns the word read along the edges that
+    first reached each key up to it, a shortest accepted word, or None when
+    no accepting key is reachable. The answer is checked before the cap, so
+    an edge that answers never counts against it.
     """
     ids = {start: 0}
-    keys = [start]       # the queue: keys in state order, appended while it is read
+    keys = [start]               # the queue: keys in state order, appended while it is read
+    finals = [is_final(start)]   # state -> accepting?
+    reached = [None]             # state -> (state, letter) of the edge that first reached it
     adj = []
-    finals = []
-    for key in keys:
-        if is_final(key):
-            finals.append(len(adj))
+    for q, key in enumerate(keys):
         edges = {}
         for letter, nxt in expand(key):
-            q = ids.get(nxt)
-            if q is None:
-                q = ids[nxt] = len(keys)
-                if q >= config.max_states:
+            q2 = ids.get(nxt)
+            if q2 is None:
+                q2 = ids[nxt] = len(keys)
+                keys.append(nxt)
+                finals.append(is_final(nxt))
+                reached.append((q, letter))
+                if q2 >= config.max_states and not (word and finals[q2]):
                     raise ResourceError(f"state cap exceeded in {name}",
                                         context=f"max_states={config.max_states}")
-                keys.append(nxt)
-            edges[letter, q] = None
+            if not word:
+                edges[letter, q2] = None
+            elif finals[q2]:
+                letters = [letter]
+                while q:
+                    q, letter = reached[q]
+                    letters.append(letter)
+                return tuple(reversed(letters))
         adj.append(list(edges))
-    return SliceAutomaton._of(c, labels, tuple(alphabet), adj, frozenset(finals),
+    if word:
+        return None
+    return SliceAutomaton._of(c, labels, tuple(alphabet), adj,
+                              frozenset(q for q, final in enumerate(finals) if final),
                               saturated, transitively_reduced)
 
 
@@ -528,14 +546,13 @@ def _walk(a: SliceAutomaton, start, step, accepting, config: RunConfig, *,
     key (`meets=True`), or None: `step(key, letter)` gives the keys one
     letter leads to.
 
-    A breadth-first walk over pairs (state of a, set of right-operand keys)
-    in `explore`'s order; it stops at the first edge into a final state of a
-    whose set answers the question, so only the pairs before it are read.
-    Keys are numbered when first reached, as `explore` numbers states, so a
-    set is a frozenset of ints, and `step` and `accepting` run once per key
-    (and letter). Under `meets=True` an empty set can meet nothing, and its
-    pair is dropped. Reading more than `config.max_states` pairs, or more
-    than `config.max_states` keys, raises a ResourceError naming `name`.
+    `explore`'s word mode over pairs (state of a, set of right-operand keys),
+    so only the pairs before the first answering edge are read. Keys are
+    numbered when first reached, as `explore` numbers states, so a set is a
+    frozenset of ints, and `step` and `accepting` run once per key (and
+    letter). Under `meets=True` an empty set can meet nothing, and its pair
+    is dropped. Reaching more than `config.max_states` pairs, or more than
+    `config.max_states` keys, raises a ResourceError naming `name`.
     """
     a_adj, a_finals, cap = a.adj, a.finals, config.max_states
     ids = {start: 0}
@@ -563,30 +580,16 @@ def _walk(a: SliceAutomaton, start, step, accepting, config: RunConfig, *,
             out.update(nxt)
         return frozenset(out)
 
-    first = (0, frozenset([0]))
-    parent = {first: None}   # pair -> (the pair it was reached from, letter)
-    queue = deque([first])
-    while queue:
-        pair = queue.popleft()
+    def expand(pair):
         qa, kids = pair
         for letter, qa2 in a_adj[qa]:
             kids2 = image(kids, letter)
-            if qa2 in a_finals and any(accepts[k] for k in kids2) == meets:
-                word = (letter,)
-                while parent[pair] is not None:
-                    pair, s = parent[pair]
-                    word = (s,) + word
-                return word
-            if meets and not kids2:
-                continue
-            nxt = (qa2, kids2)
-            if nxt not in parent:
-                if len(parent) >= cap:
-                    raise ResourceError(f"state cap exceeded in {name}",
-                                        context=f"max_states={cap}")
-                parent[nxt] = (pair, letter)
-                queue.append(nxt)
-    return None
+            if kids2 or not meets:
+                yield letter, (qa2, kids2)
+
+    return explore((0, frozenset([0])), expand,
+                   lambda pair: pair[0] in a_finals and any(accepts[k] for k in pair[1]) == meets,
+                   a.c, a.labels, a.alphabet, name=name, config=config, word=True)
 
 
 def _nfa_step(b: SliceAutomaton):

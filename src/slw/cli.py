@@ -128,8 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_net_automaton)
 
     p = sub.add_parser("aut", help="operations on automaton files")
-    p.add_argument("op", choices=("union", "intersect", "diff", "complement",
-                                  "includes", "empty", "members", "equivalent"))
+    p.add_argument("op", choices=tuple(_AUT_OPS))
     p.add_argument("files", nargs="+")
     p.add_argument("-o", "--out")
     p.add_argument("--n", type=int, default=4,
@@ -240,10 +239,17 @@ def _cmd_net_automaton(args, config, log) -> int:
     return 0
 
 
+# aut operation -> (number of automaton files, function of them and the run
+# configuration); complement and members have code of their own in _cmd_aut
+_AUT_OPS = {"union": (2, lambda a, b, config: union(a, b)), "intersect": (2, intersect),
+            "diff": (2, difference), "complement": (1, None), "includes": (2, includes),
+            "empty": (1, SliceAutomaton.is_empty), "members": (1, None),
+            "equivalent": (2, equivalent)}
+
+
 def _cmd_aut(args, config, log) -> int:
     op = args.op
-    needs = {"union": 2, "intersect": 2, "diff": 2, "includes": 2, "equivalent": 2,
-             "complement": 1, "empty": 1, "members": 1}[op]
+    needs, fn = _AUT_OPS[op]
     if len(args.files) != needs:
         raise InputError(f"aut {op} takes {needs} automaton file(s)")
     if args.n < 0:
@@ -253,14 +259,12 @@ def _cmd_aut(args, config, log) -> int:
         problems = a.validate()
         if problems:
             raise InputError(f"{f}: invalid slice automaton: {problems[0]}")
-    if op == "union":
-        _emit(union(*auts).to_text(), args.out)
-        return 0
-    if op == "intersect":
-        _emit(intersect(auts[0], auts[1], config).to_text(), args.out)
-        return 0
-    if op == "diff":
-        _emit(difference(auts[0], auts[1], config).to_text(), args.out)
+    if fn is not None:
+        out = fn(*auts, config)
+        if isinstance(out, bool):
+            print(str(out).lower())
+            return 0 if out else 1
+        _emit(out.to_text(), args.out)
         return 0
     if op == "complement":
         # header flags are claims: decide reducedness, check saturation up to --n
@@ -272,18 +276,6 @@ def _cmd_aut(args, config, log) -> int:
             print(f"note: saturation checked up to {args.n} vertices", file=sys.stderr)
         _emit(poset_complement(a, config).to_text(), args.out)
         return 0
-    if op == "includes":
-        ok = includes(auts[0], auts[1], config)
-        print(str(ok).lower())
-        return 0 if ok else 1
-    if op == "equivalent":
-        ok = equivalent(auts[0], auts[1], config)
-        print(str(ok).lower())
-        return 0 if ok else 1
-    if op == "empty":
-        ok = auts[0].is_empty(config)
-        print(str(ok).lower())
-        return 0 if ok else 1
     members = auts[0].po_members_up_to(args.n, config)
     for po in members:
         labels = ",".join(str(po.labels[v]) for v in sorted(po.labels))

@@ -196,9 +196,8 @@ def _partial_injections(m: int, n: int) -> Iterator[dict]:
 
 
 def unit_decompositions(h: LabeledDag, c: int,
-                        ordering: Optional[tuple] = None,
                         config: RunConfig = DEFAULT_CONFIG) -> list[UnitDecomposition]:
-    """All width-<= c unit decompositions of h, optionally fixed to one ordering.
+    """All width-<= c unit decompositions of h.
 
     A decomposition is determined by a topological ordering plus, at every
     frontier, a bijection from the open edges crossing it to port numbers;
@@ -209,11 +208,8 @@ def unit_decompositions(h: LabeledDag, c: int,
             f"DAG too large for decomposition enumeration "
             f"({h.n_vertices()} vertices, {len(h.edges)} edges)",
             context=f"caps {config.max_enum_vertices}/{MAX_ENUM_EDGES}")
-    orderings = [tuple(ordering)] if ordering is not None else list(h.topological_orderings())
     out = []
-    for omega in orderings:
-        if set(omega) != set(h.vertices):
-            raise InputError("ordering must enumerate exactly the DAG's vertices")
+    for omega in h.topological_orderings():
         out.extend(_decompositions_for_ordering(h, omega, c))
     return out
 

@@ -37,22 +37,21 @@ from .slices import UnitDecomposition, compose, unit_alphabet
 
 
 class SynthesisSpec:
-    """A target poset language plus the resource bounds of the net to build."""
+    """A target poset language plus the resource bounds of the net to build;
+    the width c and the labels are the automaton's."""
 
-    def __init__(self, automaton: SliceAutomaton, c: int, b: int, r: int, sem: str,
-                 labels: tuple):
+    def __init__(self, automaton: SliceAutomaton, b: int, r: int, sem: str):
         self.automaton = automaton
-        self.c = c
+        self.c = automaton.c
         self.b = b
         self.r = r
         self.sem = sem
-        self.labels = labels
+        self.labels = automaton.labels
         if self.sem not in ("ex", "cau"):
             raise InputError("sem must be 'ex' or 'cau'")
-        if self.b < 1 or self.r < 1 or self.c < 1:
-            raise InputError("bounds b, r, c must be >= 1")
-        if self.automaton.c != self.c or tuple(self.automaton.labels) != self.labels \
-                or self.automaton.alphabet != unit_alphabet(self.c, self.labels):
+        if self.b < 1 or self.r < 1:
+            raise InputError("bounds b, r must be >= 1")
+        if self.automaton.alphabet != unit_alphabet(self.c, self.labels):
             raise InputError("specification automaton must be over the declared (c, T)")
         if self.automaton.saturated is not True or self.automaton.transitively_reduced is not True:
             raise PreconditionError(
@@ -230,7 +229,7 @@ def synth_from_mso(phi: Formula, labels: Sequence, b: int, r: int, c: int, sem: 
                    log: Optional[ProofLog] = None) -> Optional[PtNet]:
     """Minimal (b,r)-bounded net containing every c-partial order satisfying phi."""
     labels = tuple(sorted(labels))  # the order of PtNet.transitions
-    spec = SynthesisSpec(po_automaton(phi, c, labels, config), c, b, r, sem, labels)
+    spec = SynthesisSpec(po_automaton(phi, c, labels, config), b, r, sem)
     if log:
         log.step("specification automaton from formula",
                  "order-to-graph rewrite + compilation + reduced/coverable product", "built")
@@ -268,7 +267,7 @@ def _repair(net: PtNet, keep: Formula, allow: Optional[Formula], b: int, r: int,
         log.step("target language", "product of keep-formula and behavior automata", "built")
         log.step("forbidden language", "poset complement of the allowed-language automaton",
                  "built")
-    spec = SynthesisSpec(target, c, b, r, sem, labels)
+    spec = SynthesisSpec(target, b, r, sem)
     return separate(spec, forbidden, config, log)
 
 
@@ -291,7 +290,7 @@ def synth_from_contract(phi_yes: Formula, phi_no: Formula, labels: Sequence,
     if log:
         log.step("contract languages disjoint",
                  "syntactic disjointness of saturated reduced automata", True)
-    spec = SynthesisSpec(yes_aut, c, b, r, sem, labels)
+    spec = SynthesisSpec(yes_aut, b, r, sem)
     return separate(spec, no_aut, config, log)
 
 

@@ -211,7 +211,7 @@ def test_criterion_8_synthesis_round_trip(report_line):
             net = nets[name]
             assert net.bound == 1
             spec_aut = cached_net_automaton(name, 1, "ex")
-            spec = SynthesisSpec(spec_aut, 1, 1, 1, "ex", tuple(net.transitions))
+            spec = SynthesisSpec(spec_aut, 1, 1, "ex")
             out = synthesize(spec)
             assert out is not None, name
             assert poset_keys(net_automaton(out, 1, "ex").po_members_up_to(4)) \

@@ -295,12 +295,13 @@ class TestDecisions:
         behavior = cached_net_automaton("N2", 2, "ex")
         monkeypatch.setattr(synthesis, "po_automaton", lambda *args: spec)
         monkeypatch.setattr(synthesis, "net_automaton", lambda *args: behavior)
-        names = []
+        names = []   # the automata built; the walks run in explore's word mode
         explore = automata.explore
 
-        def spy(*args, name, **kwargs):
-            names.append(name)
-            return explore(*args, name=name, **kwargs)
+        def spy(*args, name, word=False, **kwargs):
+            if not word:
+                names.append(name)
+            return explore(*args, name=name, word=word, **kwargs)
 
         monkeypatch.setattr(automata, "explore", spy)
         report = synthesis.verify(make_fixture_nets()["N2"], parse(corpus.TOTAL_ORDER), 2, "ex")

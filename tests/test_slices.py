@@ -6,8 +6,8 @@ from slw.automata import letter_base, valid_sequences
 from slw.config import InputError, ResourceError, RunConfig
 from slw.constructions import transitive_reduce_automaton
 from slw.dag import LabeledDag, all_dags
-from slw.slices import (Slice, UnitDecomposition, can_glue, compose, from_literal, to_literal,
-                        unit_alphabet, unit_decompositions)
+from slw.slices import (Slice, UnitDecomposition, _decompositions_for_ordering, can_glue,
+                        compose, from_literal, to_literal, unit_alphabet, unit_decompositions)
 
 from conftest import cached_net_automaton
 
@@ -201,7 +201,7 @@ class TestDecompositions:
 
     def test_fixed_ordering_restriction(self):
         h = LabeledDag({0: "t", 1: "t"}, [])
-        uds = unit_decompositions(h, 2, ordering=(1, 0))
+        uds = list(_decompositions_for_ordering(h, (1, 0), 2))
         assert len(uds) == 1
 
     def test_cap_guard(self):

@@ -25,7 +25,7 @@ TAB = ("a", "b")
 
 def chains_spec():
     aut = cached_po_automaton(corpus.TOTAL_ORDER, 1, TA)
-    return SynthesisSpec(aut, 1, 1, 1, "ex", TA)
+    return SynthesisSpec(aut, 1, 1, "ex")
 
 
 class TestFeasiblePlaces:
@@ -36,7 +36,7 @@ class TestFeasiblePlaces:
         assert not feasible_place(Place(0, takes={"a": 1}), chains_spec())
 
     def test_alternator_place_feasible(self, nets):
-        spec = SynthesisSpec(cached_net_automaton("N1", 1, "ex"), 1, 1, 1, "ex", TAB)
+        spec = SynthesisSpec(cached_net_automaton("N1", 1, "ex"), 1, 1, "ex")
         assert feasible_place(Place(0, puts={"a": 1}, takes={"b": 1}), spec)
 
     def test_candidate_count(self):
@@ -55,16 +55,14 @@ def safest_target_spec(nets):
     labels = tuple(nets["N0"].transitions)
     target = intersect(cached_po_automaton(corpus.TOTAL_ORDER, 2, labels),
                        cached_net_automaton("N0", 2, "ex"))
-    return SynthesisSpec(target, 2, 1, 1, "ex", labels)
+    return SynthesisSpec(target, 1, 1, "ex")
 
 
 class TestProbeWalk:
     @pytest.mark.parametrize("make_spec", [
         lambda nets: chains_spec(),
-        lambda nets: SynthesisSpec(cached_po_automaton(corpus.TOTAL_ORDER, 2, TAB),
-                                   2, 2, 1, "cau", TAB),
-        lambda nets: SynthesisSpec(cached_po_automaton(corpus.ALTERNATING_AB, 1, TAB),
-                                   1, 2, 1, "ex", TAB),
+        lambda nets: SynthesisSpec(cached_po_automaton(corpus.TOTAL_ORDER, 2, TAB), 2, 1, "cau"),
+        lambda nets: SynthesisSpec(cached_po_automaton(corpus.ALTERNATING_AB, 1, TAB), 2, 1, "ex"),
         safest_target_spec,
     ], ids=["chains", "total-order-b2-c2-cau", "alternating-ab-b2-c1-ex", "safest-N0"])
     def test_walk_agrees_with_built_probe(self, nets, make_spec):
@@ -88,19 +86,16 @@ class TestProbeWalk:
         return built
 
     def test_synthesis_builds_no_probe_automaton(self, monkeypatch):
-        spec = SynthesisSpec(cached_po_automaton(corpus.ALTERNATING_AB, 1, TAB),
-                             1, 1, 1, "ex", TAB)
+        spec = SynthesisSpec(cached_po_automaton(corpus.ALTERNATING_AB, 1, TAB), 1, 1, "ex")
         assert self.built_by_synthesis(monkeypatch, spec) == []
 
     def test_causal_synthesis_builds_no_automaton(self, monkeypatch):
         # the synth benchmark job: containment is walked, not built
-        spec = SynthesisSpec(cached_po_automaton(corpus.TOTAL_ORDER, 2, TAB),
-                             2, 2, 1, "cau", TAB)
+        spec = SynthesisSpec(cached_po_automaton(corpus.TOTAL_ORDER, 2, TAB), 2, 1, "cau")
         assert self.built_by_synthesis(monkeypatch, spec) == []
 
     def test_feasible_place_builds_no_automaton(self, monkeypatch):
-        spec = SynthesisSpec(cached_po_automaton(corpus.TOTAL_ORDER, 2, TAB),
-                             2, 1, 1, "cau", TAB)
+        spec = SynthesisSpec(cached_po_automaton(corpus.TOTAL_ORDER, 2, TAB), 1, 1, "cau")
         places = list(candidate_places(spec.labels, spec.b))
         feasible_place(places[0], spec)   # the universal automaton is cached
         built = []
@@ -124,14 +119,14 @@ class TestSynthesize:
         assert mem == poset_keys(chains_spec().automaton.po_members_up_to(4))
 
     def test_alternator_round_trip(self, nets):
-        spec = SynthesisSpec(cached_net_automaton("N1", 1, "ex"), 1, 1, 1, "ex", TAB)
+        spec = SynthesisSpec(cached_net_automaton("N1", 1, "ex"), 1, 1, "ex")
         net = synthesize(spec)
         assert net is not None
         assert poset_keys(net_automaton(net, 1, "ex").po_members_up_to(4)) \
             == poset_keys(spec.automaton.po_members_up_to(4))
 
     def test_empty_specification_gives_maximal_constraint_net(self):
-        spec = SynthesisSpec(cached_po_automaton("false", 1, TA), 1, 1, 1, "ex", TA)
+        spec = SynthesisSpec(cached_po_automaton("false", 1, TA), 1, 1, "ex")
         net = synthesize(spec)
         assert net is not None
         assert len(net.places) == len(list(candidate_places(TA, 1)))
@@ -141,14 +136,14 @@ class TestSynthesize:
         plain = SliceAutomaton(a.c, a.labels, a.alphabet, a.initial, a.finals,
                                a.transitions, states=a.states)
         with pytest.raises(PreconditionError):
-            SynthesisSpec(plain, 1, 1, 1, "ex", TA)
+            SynthesisSpec(plain, 1, 1, "ex")
 
     def test_spec_over_another_alphabet_rejected(self):
         a = cached_po_automaton("true", 1, TA)
         narrow = SliceAutomaton(a.c, a.labels, a.alphabet[:-1], 0, [], [],
                                 saturated=True, transitively_reduced=True)
         with pytest.raises(InputError, match="declared"):
-            SynthesisSpec(narrow, 1, 1, 1, "ex", TA)
+            SynthesisSpec(narrow, 1, 1, "ex")
 
 
 def built_containment(spec):
@@ -173,8 +168,7 @@ class TestContainmentWithoutBuild:
     @pytest.mark.parametrize("c", [1, 2])
     @pytest.mark.parametrize("name", sorted(corpus.ORDER_CORPUS))
     def test_agrees_with_built_containment(self, name, c, b, sem):
-        spec = SynthesisSpec(cached_po_automaton(corpus.ORDER_CORPUS[name], c, TAB),
-                             c, b, 1, sem, TAB)
+        spec = SynthesisSpec(cached_po_automaton(corpus.ORDER_CORPUS[name], c, TAB), b, 1, sem)
         contains = built_containment(spec)
         net = synthesize(spec)
         if contains is None:
@@ -198,18 +192,18 @@ def separation_case(case, c, b, sem):
     consecutive-aa contract."""
     if case == "contract":
         spec_aut = cached_po_automaton(corpus.ALTERNATING_AB, c, TAB)
-        return (SynthesisSpec(spec_aut, c, b, 1, sem, TAB),
+        return (SynthesisSpec(spec_aut, b, 1, sem),
                 cached_po_automaton(corpus.CONSECUTIVE_AA, c, TAB))
     if case == "repair":
         behavior = net_automaton(NOISY, c, sem)
         target = intersect(cached_po_automaton(corpus.ALTERNATING_AB, c, TAB), behavior)
         forbidden = poset_complement(
             cached_po_automaton("!(" + corpus.CONSECUTIVE_AA + ")", c, TAB))
-        return SynthesisSpec(target, c, b, 1, sem, TAB), forbidden
+        return SynthesisSpec(target, b, 1, sem), forbidden
     labels = tuple(make_fixture_nets()[case].transitions)
     behavior = cached_net_automaton(case, c, sem)
     target = intersect(cached_po_automaton(corpus.TOTAL_ORDER, c, labels), behavior)
-    return SynthesisSpec(target, c, b, 1, sem, labels), poset_complement(behavior)
+    return SynthesisSpec(target, b, 1, sem), poset_complement(behavior)
 
 
 class TestDisjointnessWithoutBuild:
@@ -243,7 +237,7 @@ class TestCausalSynthesis:
     def test_containment_and_exactness(self, nets, name, exact, r):
         net = nets[name]
         spec_aut = cached_net_automaton(name, 1, "cau")
-        spec = SynthesisSpec(spec_aut, 1, net.bound, r, "cau", tuple(net.transitions))
+        spec = SynthesisSpec(spec_aut, net.bound, r, "cau")
         out = synthesize(spec)
         assert out is not None
         got = poset_keys(net_automaton(out, 1, "cau").po_members_up_to(4))
@@ -253,8 +247,8 @@ class TestCausalSynthesis:
 
     def test_multiplicity_repeats_places(self, nets):
         spec_aut = cached_net_automaton("N4", 1, "cau")
-        spec1 = SynthesisSpec(spec_aut, 1, 1, 1, "cau", ("t",))
-        spec2 = SynthesisSpec(spec_aut, 1, 1, 2, "cau", ("t",))
+        spec1 = SynthesisSpec(spec_aut, 1, 1, "cau")
+        spec2 = SynthesisSpec(spec_aut, 1, 2, "cau")
         assert len(synthesize(spec2).places) == 2 * len(synthesize(spec1).places)
 
 
@@ -262,7 +256,7 @@ class TestSeparate:
     def test_parity_separation_impossible(self):
         even = cached_po_automaton(corpus.EVEN_CHAIN, 1, TA)
         odd = cached_po_automaton(corpus.ODD_CHAIN, 1, TA)
-        assert separate(SynthesisSpec(even, 1, 1, 1, "ex", TA), odd) is None
+        assert separate(SynthesisSpec(even, 1, 1, "ex"), odd) is None
 
     def test_empty_forbidden_reduces_to_synthesize(self):
         spec = chains_spec()
@@ -274,7 +268,7 @@ class TestSeparate:
     def test_alternator_separation(self, nets):
         alt = cached_po_automaton(corpus.ALTERNATING_AB, 1, TAB)
         bad = cached_po_automaton(corpus.CONSECUTIVE_AA, 1, TAB)
-        net = separate(SynthesisSpec(alt, 1, 1, 1, "ex", TAB), bad)
+        net = separate(SynthesisSpec(alt, 1, 1, "ex"), bad)
         assert net is not None
         assert poset_keys(net_automaton(net, 1, "ex").po_members_up_to(4)) \
             == poset_keys(cached_net_automaton("N1", 1, "ex").po_members_up_to(4))
@@ -291,7 +285,7 @@ class TestSeparate:
         monkeypatch.setattr(synthesis, "intersect", lambda *args: pytest.fail("product built"))
         alt = cached_po_automaton(corpus.ALTERNATING_AB, 1, TAB)
         bad = cached_po_automaton(corpus.CONSECUTIVE_AA, 1, TAB)
-        assert separate(SynthesisSpec(alt, 1, 1, 1, "ex", TAB), bad) is not None
+        assert separate(SynthesisSpec(alt, 1, 1, "ex"), bad) is not None
         assert synth_from_contract(parse(corpus.ALTERNATING_AB), parse(corpus.CONSECUTIVE_AA),
                                    TAB, 1, 1, 1, "ex") is not None
         assert built == []
@@ -299,7 +293,7 @@ class TestSeparate:
     def test_forbidden_over_another_alphabet_rejected(self):
         alt = cached_po_automaton(corpus.ALTERNATING_AB, 1, TAB)
         with pytest.raises(InputError, match="same"):
-            separate(SynthesisSpec(alt, 1, 1, 1, "ex", TAB),
+            separate(SynthesisSpec(alt, 1, 1, "ex"),
                      cached_po_automaton("true", 1, TA))
 
 
@@ -420,7 +414,7 @@ class TestTopLevel:
 class TestMinimality:
     def test_no_strictly_smaller_behavior_by_dropping_places(self, nets):
         # dropping any place of the synthesized net can only grow the behavior
-        spec = SynthesisSpec(cached_net_automaton("N1", 1, "ex"), 1, 1, 1, "ex", TAB)
+        spec = SynthesisSpec(cached_net_automaton("N1", 1, "ex"), 1, 1, "ex")
         net = synthesize(spec)
         base = poset_keys(net_automaton(net, 1, "ex").po_members_up_to(4))
         for i in range(len(net.places)):
