@@ -1,5 +1,6 @@
 """Slice automata: validation, membership, Boolean operations, file format."""
 
+import re
 from collections import deque
 
 import pytest
@@ -141,6 +142,13 @@ class TestMembership:
         a = from_decompositions(1, T, uds)
         assert all(a.accepts(u) for u in uds)
         assert not a.accepts(UnitDecomposition([INIT_FINAL]))
+
+    @pytest.mark.parametrize("letter", [Slice("t", 0, 2), Slice("a", 0, 0)],
+                             ids=["too wide", "foreign label"])
+    def test_from_decompositions_refuses_letters_outside_the_alphabet(self, letter):
+        message = f"transition letter not in the declared alphabet: {letter!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            from_decompositions(1, T, [(INIT_FINAL,), (letter,)])
 
     def test_universal_accepts_antichain_decomposition(self):
         h = LabeledDag({0: "t", 1: "t"}, [])

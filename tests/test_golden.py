@@ -1,8 +1,8 @@
 """Byte-identity of slw's outputs: one SHA-256 per output, pinned in golden.json.
 
 Each entry hashes one output that a refactor must leave alone: the literals of
-a unit alphabet, the `.aut` text of a net's behavior, a compiled formula or a
-transitive reduction, the words the walks return and the Boolean operations'
+a unit alphabet, the `.aut` text of a net's behavior, a compiled formula, a
+transitive reduction or the trie of a DAG's decompositions, the words the walks return and the Boolean operations'
 `.aut` text on one net and formula, or the exit code, stdout, stderr and
 written files of one benchmark job, run in-process on the benchmark's seed-1
 inputs. A change
@@ -10,6 +10,8 @@ that moves an output on purpose rewrites the file and names every entry that
 changed. To rewrite it, run from the root of a checkout:
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+which prints each entry it adds, changes or drops.
 """
 
 import hashlib
@@ -22,13 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from slw.automata import (common_word, counterexample, difference, intersect, letter_base,
-                          union, valid_sequences)
+from slw.automata import (common_word, counterexample, difference, from_decompositions,
+                          intersect, letter_base, union, valid_sequences)
 from slw.cli import main
 from slw.constructions import poset_complement, transitive_reduce_automaton
 from slw.corpus import GRAPH_CORPUS, ORDER_CORPUS
+from slw.dag import all_dags
 from slw.netaut import net_automaton
-from slw.slices import to_literal, unit_alphabet
+from slw.slices import to_literal, unit_alphabet, unit_decompositions
 
 from conftest import (cached_graph_automaton, cached_net_automaton, cached_po_automaton,
                       make_fixture_nets)
@@ -51,6 +54,17 @@ def _letters():
     for c in (1, 2):
         yield (f"transitive_reduce valid_sequences c={c} a",
                transitive_reduce_automaton(valid_sequences(c, ("a",))).to_text())
+
+
+def _tries():
+    """The trie `from_decompositions` builds from the width-2 decompositions
+    of each DAG with up to three vertices over a, b."""
+    for n in (1, 2, 3):
+        for h in all_dags(n, TAB):
+            dag = (" ".join(h.labels[v] for v in h.vertices) + ";"
+                   + "".join(f" {x}->{y}" for x, y in h.edges))
+            yield (f"from_decompositions c=2 {dag}",
+                   from_decompositions(2, TAB, unit_decompositions(h, 2)).to_text())
 
 
 def _nets():
@@ -120,7 +134,7 @@ def _jobs():
                 yield f"{workload}: {job.name}", text.replace(tmp, "$TMP")
 
 
-GROUPS = {"letters": _letters, "nets": _nets, "formulas": _formulas, "walks": _walks,
+GROUPS = {"letters": _letters, "tries": _tries, "nets": _nets, "formulas": _formulas, "walks": _walks,
           "jobs": _jobs}
 
 
@@ -128,13 +142,23 @@ def digests(group: str) -> dict:
     return {key: hashlib.sha256(text.encode()).hexdigest() for key, text in GROUPS[group]()}
 
 
+def moved(want: dict, got: dict) -> list:
+    """The entries added, changed or dropped between two digest maps, sorted."""
+    return sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+
+
 @pytest.mark.parametrize("group", GROUPS)
 def test_outputs_are_unchanged(group):
-    want = json.loads(GOLDEN.read_text())[group]
-    got = digests(group)
-    changed = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+    changed = moved(json.loads(GOLDEN.read_text())[group], digests(group))
     assert not changed, f"{len(changed)} outputs moved, first {changed[:5]}"
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({group: digests(group) for group in GROUPS}, indent=1) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = {group: digests(group) for group in GROUPS}
+    for group in dict.fromkeys([*GROUPS, *old]):
+        want, got = old.get(group, {}), new.get(group, {})
+        for key in moved(want, got):
+            verb = "added" if key not in want else "dropped" if key not in got else "changed"
+            print(f"{verb} {group}: {key}")
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n")

@@ -70,6 +70,37 @@ class TestRoundTrips:
         text = cached_graph_automaton(corpus.GRAPH_CORPUS[name], c, ("a", "b")).to_text()
         assert SliceAutomaton.from_text(text).to_text() == text
 
+    def test_aut_states_are_numbered_initial_first(self):
+        # the initial state is 0, then the other states in declaration order;
+        # a repeated trans line adds no edge, and each state keeps its edges
+        # in order of first appearance
+        text = ("slice-automaton c=1 alphabet=a,b\n"
+                "state x final\n"
+                "state lost\n"
+                "state s initial\n"
+                "state y\n"
+                "state z final\n"
+                "trans s slice{in:0; out:1; center:a; edges: c->o1} y\n"
+                "trans y slice{in:1; out:1; center:b; edges: i1->c, c->o1} y\n"
+                "trans y slice{in:1; out:0; center:a; edges: i1->c} x\n"
+                "trans s slice{in:0; out:0; center:b; edges: } z\n"
+                "trans y slice{in:1; out:0; center:a; edges: i1->c} x\n"
+                "trans s slice{in:0; out:1; center:b; edges: c->o1} y\n")
+        aut = SliceAutomaton.from_text(text)
+        assert aut.to_text() == (
+            "slice-automaton c=1 alphabet=a,b\n"
+            "state 0 initial\n"
+            "state 1 final\n"
+            "state 2\n"
+            "state 3\n"
+            "state 4 final\n"
+            "trans 0 slice{in:0; out:0; center:b; edges: } 4\n"
+            "trans 0 slice{in:0; out:1; center:a; edges: c->o1} 3\n"
+            "trans 0 slice{in:0; out:1; center:b; edges: c->o1} 3\n"
+            "trans 3 slice{in:1; out:0; center:a; edges: i1->c} 1\n"
+            "trans 3 slice{in:1; out:1; center:b; edges: c->o1, i1->c} 3\n")
+        assert [[q2 for _, q2 in edges] for edges in aut.adj] == [[3, 4, 3], [], [], [3, 1], []]
+
     def test_dags(self):
         for h in all_dags(4, ("a", "b")):
             again = LabeledDag.from_text(h.to_text())
