@@ -10,8 +10,11 @@ States are the integers 0..n-1 in the order a construction discovers them,
 with the initial state 0, and each state keeps its out-edges as a list in the
 order they were generated. `explore` is the one loop that discovers states:
 every construction but `union`, `map_letters` and `trim`, which keep their
-input's order, is one call of it. So output, `.aut` text included, is
-deterministic by construction: nothing is ordered by hash or by `repr`.
+input's order, is one call of it. The two readers number states as their
+input gives them: `from_text` the initial state, then the other states in
+declaration order, and `from_decompositions` each prefix when it first
+occurs. So output, `.aut` text included, is deterministic by construction:
+nothing is ordered by hash or by `repr`.
 `sequences` is the one construction of the gluing rule of unit
 decompositions, with a caller's step beside it. Every exploration is capped by
 `RunConfig.max_states`, and the ResourceError names the construction.
@@ -51,61 +54,32 @@ def letter_base(letter) -> Slice:
 class SliceAutomaton:
     """NFA over a slice alphabet, with optional language-property flags.
 
-    `adj[q]` lists the out-edges (letter, target) of state q; state 0 is
-    initial. `saturated` / `transitively_reduced` record properties guaranteed
-    by the construction that produced the automaton; None means unknown.
+    The one constructor takes the states as adjacency lists: `adj[q]` lists
+    the out-edges (letter, target) of state q, without repeats, state 0 is
+    initial and `finals` holds state numbers. It checks nothing; a caller
+    that reads letters from outside, as `from_text` and `from_decompositions`
+    do, checks them against the alphabet itself. `saturated` /
+    `transitively_reduced` record properties guaranteed by the construction
+    that produced the automaton; None means unknown.
     """
 
-    initial = 0
-
-    def __init__(self, c: int, labels: Sequence, alphabet: Sequence, initial,
-                 finals: Iterable, transitions: Iterable[tuple],
-                 states: Optional[Iterable] = None,
-                 saturated: Optional[bool] = None,
+    def __init__(self, c: int, labels: Sequence, alphabet: Sequence, adj: list,
+                 finals: Iterable, saturated: Optional[bool] = None,
                  transitively_reduced: Optional[bool] = None):
-        """Build from (state, letter, state) triples over any hashable state
-        names, numbered in order of first appearance: the initial state, then
-        `states`, then the endpoints of the transitions."""
-        alphabet = tuple(alphabet)
-        letters = frozenset(alphabet)
-        ids = {initial: 0}
-        for q in states or ():
-            ids.setdefault(q, len(ids))
-        edges = {}
-        for q, s, q2 in transitions:
-            if s not in letters:
-                raise InputError(f"transition letter not in the declared alphabet: {s!r}")
-            edges[ids.setdefault(q, len(ids)), s, ids.setdefault(q2, len(ids))] = None
-        adj = [[] for _ in ids]
-        for q, s, q2 in edges:
-            adj[q].append((s, q2))
-        if any(q not in ids for q in finals):
-            raise InputError("final states must be states")
-        self._set(c, labels, alphabet, adj, frozenset(ids[q] for q in finals),
-                  saturated, transitively_reduced)
-
-    def _set(self, c, labels, alphabet, adj, finals, saturated, transitively_reduced):
         self.c = c
         self.labels = tuple(labels)
-        self.alphabet = alphabet
+        self.alphabet = tuple(alphabet)
         self.adj = adj
-        self.finals = finals
+        self.finals = frozenset(finals)
         self.saturated = saturated
         self.transitively_reduced = transitively_reduced
         self._index = None
 
-    @classmethod
-    def _of(cls, c, labels, alphabet, adj, finals, saturated=None,
-            transitively_reduced=None) -> "SliceAutomaton":
-        a = cls.__new__(cls)
-        a._set(c, labels, alphabet, adj, finals, saturated, transitively_reduced)
-        return a
-
     def with_flags(self, *, saturated: Optional[bool],
                    transitively_reduced: Optional[bool]) -> "SliceAutomaton":
         """The same automaton, sharing its storage, with other property flags."""
-        out = SliceAutomaton._of(self.c, self.labels, self.alphabet, self.adj, self.finals,
-                                 saturated, transitively_reduced)
+        out = SliceAutomaton(self.c, self.labels, self.alphabet, self.adj, self.finals,
+                             saturated, transitively_reduced)
         out._index = self._index
         return out
 
@@ -114,7 +88,7 @@ class SliceAutomaton:
         one edge per letter in table[s] (none drops the edge); no flags."""
         adj = [list(dict.fromkeys((t, q2) for s, q2 in edges for t in table[s]))
                for edges in self.adj]
-        return SliceAutomaton._of(self.c, self.labels, tuple(alphabet), adj, self.finals)
+        return SliceAutomaton(self.c, self.labels, alphabet, adj, self.finals)
 
     # -- read-only views ---------------------------------------------------------
 
@@ -218,9 +192,9 @@ class SliceAutomaton:
             ids[q] = i
         trimmed = [[(s, ids[q2]) for s, q2 in adj[q] if live[q2]] if live[q] else []
                    for q in keep]
-        return SliceAutomaton._of(self.c, self.labels, self.alphabet, trimmed,
-                                  frozenset(ids[q] for q in self.finals if live[q]),
-                                  self.saturated, self.transitively_reduced)
+        return SliceAutomaton(self.c, self.labels, self.alphabet, trimmed,
+                              [ids[q] for q in self.finals if live[q]],
+                              self.saturated, self.transitively_reduced)
 
     def is_empty(self, config: RunConfig = DEFAULT_CONFIG) -> bool:
         """True iff no nonempty decomposition is accepted."""
@@ -333,7 +307,7 @@ class SliceAutomaton:
             table = literal_table(c, labels)
         except InputError as err:
             raise InputError(f"line {n}: {err}") from None
-        states, initial, finals, trans = {}, None, set(), []
+        states, initial, finals, trans = {}, None, set(), {}
         for n, ln in rows:
             parts = ln.split(None, 2)
             if parts[0] == "trans":
@@ -356,7 +330,7 @@ class SliceAutomaton:
                     if letter is None:
                         raise InputError(f"line {n}: transition letter not in the "
                                          f"declared alphabet: {literal}")
-                trans.append((parts[1], letter, dst))
+                trans[parts[1], letter, dst] = None
             elif parts[0] == "state":
                 names, fields = split_fields(n, ln.split()[1:])
                 if not names or fields:
@@ -377,9 +351,15 @@ class SliceAutomaton:
                 raise InputError(f"line {n}: unexpected line in automaton file: {ln!r}")
         if initial is None:
             raise InputError("no initial state declared")
-        return SliceAutomaton(c, labels, unit_alphabet(c, labels), initial, finals, trans,
-                              states=states, saturated="saturated" in claims or None,
-                              transitively_reduced="reduced" in claims or None)
+        ids = {initial: 0}
+        for name in states:
+            ids.setdefault(name, len(ids))
+        adj = [[] for _ in ids]
+        for q, letter, q2 in trans:
+            adj[ids[q]].append((letter, ids[q2]))
+        return SliceAutomaton(c, labels, unit_alphabet(c, labels), adj,
+                              [ids[q] for q in finals], "saturated" in claims or None,
+                              "reduced" in claims or None)
 
     def __repr__(self):
         return (f"SliceAutomaton(c={self.c}, labels={self.labels}, "
@@ -433,9 +413,9 @@ def explore(start, expand, is_final, c: int, labels: Sequence, alphabet: Sequenc
         adj.append(list(edges))
     if word:
         return None
-    return SliceAutomaton._of(c, labels, tuple(alphabet), adj,
-                              frozenset(q for q, final in enumerate(finals) if final),
-                              saturated, transitively_reduced)
+    return SliceAutomaton(c, labels, alphabet, adj,
+                          [q for q, final in enumerate(finals) if final],
+                          saturated, transitively_reduced)
 
 
 def sequences(c: int, labels: Sequence, alphabet: Sequence, start, step, accepting, *,
@@ -508,7 +488,7 @@ def union(a: SliceAutomaton, b: SliceAutomaton) -> SliceAutomaton:
     adj += [[(s, q + 1 + na) for s, q in edges] for edges in b.adj]
     adj.insert(0, adj[0] + adj[na])
     finals = frozenset(q + 1 for q in a.finals) | frozenset(q + 1 + na for q in b.finals)
-    return SliceAutomaton._of(
+    return SliceAutomaton(
         a.c, a.labels, a.alphabet, adj, finals,
         True if (a.saturated and b.saturated) else None,
         True if (a.transitively_reduced and b.transitively_reduced) else None).trim()
@@ -638,17 +618,26 @@ def equivalent(a: SliceAutomaton, b: SliceAutomaton,
 
 def from_decompositions(c: int, labels: Sequence,
                         decomps: Iterable) -> SliceAutomaton:
-    """A trie-shaped automaton accepting exactly the given decompositions."""
+    """A trie-shaped automaton accepting exactly the given decompositions: the
+    empty prefix is state 0, and each new prefix takes the next state."""
     labels = tuple(labels)
-    trans = []
-    finals = set()
+    alphabet = unit_alphabet(c, labels)
+    letters = frozenset(alphabet)
+    child = {}   # (state, letter) -> the state of the longer prefix
+    adj, finals = [[]], []
     for u in decomps:
-        prefix = ()
+        q = 0
         for s in u:
-            trans.append((prefix, s, prefix + (s,)))
-            prefix += (s,)
-        finals.add(prefix)
-    return SliceAutomaton(c, labels, unit_alphabet(c, labels), (), finals, trans)
+            q2 = child.get((q, s))
+            if q2 is None:
+                if s not in letters:
+                    raise InputError(f"transition letter not in the declared alphabet: {s!r}")
+                q2 = child[q, s] = len(adj)
+                adj.append([])
+                adj[q].append((s, q2))
+            q = q2
+        finals.append(q)
+    return SliceAutomaton(c, labels, alphabet, adj, finals)
 
 
 def valid_sequences(c: int, labels: Sequence) -> SliceAutomaton:

@@ -28,8 +28,8 @@ FINAL = Slice("t", 1, 0)
 
 def chain_automaton():
     """All chains over {t}: q0 -INIT-> q1 -MID-> q1 -FINAL-> q2, plus one-vertex."""
-    return SliceAutomaton(1, T, ALPH, 0, {2},
-                          [(0, INIT, 1), (1, MID, 1), (1, FINAL, 2), (0, INIT_FINAL, 2)])
+    return SliceAutomaton(1, T, ALPH, [[(INIT, 1), (INIT_FINAL, 2)], [(MID, 1), (FINAL, 2)], []],
+                          {2})
 
 
 def _bfs_shortest(aut):
@@ -79,7 +79,7 @@ def _miswired(aut, every: int):
     one port count shifted (in-ports and out-ports in turn), so that it no
     longer glues to its neighbours."""
     c = aut.c
-    trans = []
+    adj = [{} for _ in aut.adj]
     for i, (q, s, q2) in enumerate(aut.transitions):
         if i % every == 0:
             n_in, n_out = s.n_in, s.n_out
@@ -88,8 +88,8 @@ def _miswired(aut, every: int):
             else:
                 n_out = (n_out + 1) % (c + 1)
             s = Slice(s.label, n_in, n_out)
-        trans.append((q, s, q2))
-    return SliceAutomaton(c, aut.labels, aut.alphabet, 0, aut.finals, trans, states=aut.states)
+        adj[q][s, q2] = None
+    return SliceAutomaton(c, aut.labels, aut.alphabet, [list(edges) for edges in adj], aut.finals)
 
 
 class TestValidation:
@@ -97,13 +97,13 @@ class TestValidation:
         assert chain_automaton().validate() == []
 
     def test_condition_one(self):
-        a = SliceAutomaton(1, T, ALPH, 0, {1}, [(0, FINAL, 1)])
+        a = SliceAutomaton(1, T, ALPH, [[(FINAL, 1)], []], {1})
         report = a.validate()
         assert any("condition 1" in r for r in report)
         assert report == _validate_reference(a)
 
     def test_condition_two(self):
-        a = SliceAutomaton(1, T, ALPH, 0, {1}, [(0, INIT, 1)])
+        a = SliceAutomaton(1, T, ALPH, [[(INIT, 1)], []], {1})
         report = a.validate()
         assert any("condition 2" in r for r in report)
         assert report == _validate_reference(a)
@@ -112,7 +112,7 @@ class TestValidation:
         wide = unit_alphabet(2, T)
         out1 = next(s for s in wide if s.n_in == 0 and s.n_out == 1)
         in2 = next(s for s in wide if s.n_in == 2 and s.n_out == 0)
-        a = SliceAutomaton(2, T, wide, 0, {2}, [(0, out1, 1), (1, in2, 2)])
+        a = SliceAutomaton(2, T, wide, [[(out1, 1)], [(in2, 2)], []], {2})
         report = a.validate()
         assert any("condition 3" in r for r in report)
         assert report == _validate_reference(a)
@@ -132,7 +132,7 @@ class TestValidation:
 
 class TestMembership:
     def test_empty_automaton_rejects(self):
-        empty = SliceAutomaton(1, T, ALPH, 0, (), ())
+        empty = SliceAutomaton(1, T, ALPH, [[]], ())
         u = UnitDecomposition([INIT_FINAL])
         assert not empty.accepts(u)
 
@@ -163,7 +163,7 @@ class TestBooleanOps:
 
     def test_union_with_empty_is_identity(self):
         a = chain_automaton()
-        empty = SliceAutomaton(1, T, ALPH, 0, (), ())
+        empty = SliceAutomaton(1, T, ALPH, [[]], ())
         assert equivalent(union(a, empty), a)
 
     def test_alphabet_mismatch(self):
@@ -204,7 +204,7 @@ class TestBooleanOps:
 
 class TestDecisions:
     def test_empty_after_trim(self):
-        a = SliceAutomaton(1, T, ALPH, 0, {2}, [(0, INIT, 1)], states={0, 1, 2})
+        a = SliceAutomaton(1, T, ALPH, [[(INIT, 1)], [], []], {2})
         assert a.is_empty()
 
     def test_includes_reflexive(self):
@@ -238,8 +238,8 @@ class TestDecisions:
     def test_walk_counts_right_operand_keys_against_the_cap(self):
         # one letter leads b's initial state to 30 states while the walks
         # read only two pairs
-        fan = SliceAutomaton(1, T, ALPH, 0, range(1, 31),
-                             [(0, INIT_FINAL, q) for q in range(1, 31)])
+        fan = SliceAutomaton(1, T, ALPH, [[(INIT_FINAL, q) for q in range(1, 31)]] + [[]] * 30,
+                             range(1, 31))
         capped = RunConfig(max_states=10)
         with pytest.raises(ResourceError, match="state cap exceeded in inclusion"):
             counterexample(chain_automaton(), fan, capped)
@@ -251,9 +251,9 @@ class TestDecisions:
     def test_walk_answers_on_the_pair_at_the_cap(self):
         # each walk reads four pairs, and its answering edge leads to a fifth:
         # the answer is checked before the cap, so a cap of four answers
-        chain = SliceAutomaton(1, T, ALPH, 0, {4},
-                               [(0, INIT, 1), (1, MID, 2), (2, MID, 3), (3, FINAL, 4)])
-        nothing = SliceAutomaton(1, T, ALPH, 0, [], [])
+        chain = SliceAutomaton(1, T, ALPH,
+                               [[(INIT, 1)], [(MID, 2)], [(MID, 3)], [(FINAL, 4)], []], {4})
+        nothing = SliceAutomaton(1, T, ALPH, [[]], [])
         u1 = universal_automaton(1, T)
         walks = {"inclusion": lambda config: counterexample(chain, nothing, config),
                  "disjointness": lambda config: common_word(chain, u1, config),

@@ -265,7 +265,7 @@ class TestPosetComplement:
 
     def test_complement_of_empty_is_universal(self):
         u = universal_automaton(1, T)
-        empty = SliceAutomaton(1, T, u.alphabet, 0, (), (),
+        empty = SliceAutomaton(1, T, u.alphabet, [[]], (),
                                saturated=True, transitively_reduced=True)
         comp = poset_complement(empty)
         assert poset_keys(comp.po_members_up_to(4)) == poset_keys(u.po_members_up_to(4))

@@ -18,14 +18,17 @@ from slw.slices import unit_alphabet
 
 
 def _reference_valid_sequences(c, labels):
+    # named states, numbered "start" first, then in order of first appearance
     alphabet = unit_alphabet(c, labels)
-    trans = []
+    ids, trans = {"start": 0}, []
     for s in alphabet:
-        src = "start" if s.n_in == 0 else f"w{s.n_in}"
-        trans.append((src, s, f"w{s.n_out}"))
-        if s.n_in == 0:
-            trans.append(("w0", s, f"w{s.n_out}"))
-    return SliceAutomaton(c, labels, alphabet, "start", {"w0"}, trans).trim()
+        for src in ("start", "w0") if s.n_in == 0 else (f"w{s.n_in}",):
+            trans.append((ids.setdefault(src, len(ids)), s,
+                          ids.setdefault(f"w{s.n_out}", len(ids))))
+    adj = [[] for _ in ids]
+    for q, s, q2 in trans:
+        adj[q].append((s, q2))
+    return SliceAutomaton(c, labels, alphabet, adj, {ids["w0"]}).trim()
 
 
 def _reference_well_formed(c, labels, sorts):

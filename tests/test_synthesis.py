@@ -99,13 +99,13 @@ class TestProbeWalk:
         places = list(candidate_places(spec.labels, spec.b))
         feasible_place(places[0], spec)   # the universal automaton is cached
         built = []
-        original = SliceAutomaton._set
+        original = SliceAutomaton.__init__
 
-        def spy(self, *args):
+        def spy(self, *args, **kwargs):
             built.append(self)
-            original(self, *args)
+            original(self, *args, **kwargs)
 
-        monkeypatch.setattr(SliceAutomaton, "_set", spy)
+        monkeypatch.setattr(SliceAutomaton, "__init__", spy)
         for p in places:
             feasible_place(p, spec)
         assert built == []
@@ -133,14 +133,13 @@ class TestSynthesize:
 
     def test_unflagged_spec_rejected(self, nets):
         a = cached_po_automaton("true", 1, TA)
-        plain = SliceAutomaton(a.c, a.labels, a.alphabet, a.initial, a.finals,
-                               a.transitions, states=a.states)
+        plain = SliceAutomaton(a.c, a.labels, a.alphabet, a.adj, a.finals)
         with pytest.raises(PreconditionError):
             SynthesisSpec(plain, 1, 1, "ex")
 
     def test_spec_over_another_alphabet_rejected(self):
         a = cached_po_automaton("true", 1, TA)
-        narrow = SliceAutomaton(a.c, a.labels, a.alphabet[:-1], 0, [], [],
+        narrow = SliceAutomaton(a.c, a.labels, a.alphabet[:-1], [[]], [],
                                 saturated=True, transitively_reduced=True)
         with pytest.raises(InputError, match="declared"):
             SynthesisSpec(narrow, 1, 1, "ex")
