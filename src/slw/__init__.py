@@ -23,7 +23,7 @@ from .mso import (evaluate_dag, evaluate_po, expand_builtins, parse, to_graph_fo
                   to_text)
 from .compiler import compile_formula, po_automaton
 from .ptnet import (Place, ProcessNet, PtNet, causal_orders, check_bounded, enabled,
-                    executions, fire, net_union, occurrence_sequences, processes)
+                    executions, fire, occurrence_sequences, processes)
 from .netaut import net_automaton
 from .synthesis import (ProofLog, SynthesisSpec, VerificationReport, candidate_places,
                         feasible_place, repair, safest_subsystem, separate,

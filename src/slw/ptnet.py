@@ -210,15 +210,6 @@ def occurrence_sequences(net: PtNet, k: int) -> list[tuple]:
     return out
 
 
-def net_union(n1: PtNet, n2: PtNet) -> PtNet:
-    """Multiset union of the places of two nets over the same transitions."""
-    if n1.transitions != n2.transitions:
-        raise InputError("net union needs a common transition set")
-    return PtNet(n1.transitions, n1.places + n2.places,
-                 bound=max(n1.bound, n2.bound),
-                 name=f"{n1.name}+{n2.name}", check_transitions=False)
-
-
 # -- processes --------------------------------------------------------------------
 
 

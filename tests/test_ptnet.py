@@ -7,7 +7,7 @@ import pytest
 from slw.config import InputError
 from slw.dag import LabeledPoset
 from slw.ptnet import (Place, PtNet, _extensions_of_order, causal_orders, check_bounded,
-                       enabled, executions, fire, net_union, processes)
+                       enabled, executions, fire, processes)
 
 from conftest import poset_keys
 
@@ -145,21 +145,13 @@ class TestOrderExtensions:
 
 
 class TestUnion:
-    def test_multiplicities_add(self, nets):
-        n = net_union(nets["N4"], nets["N4"])
-        assert len(n.places) == 4
-
-    def test_transition_mismatch(self, nets):
-        with pytest.raises(InputError):
-            net_union(nets["N0"], nets["N1"])
-
     def test_execution_conjunctivity(self, nets):
         # the execution behavior of a union is the intersection of behaviors
         a = PtNet(("a", "b"), [Place(1, puts={"b": 1}, takes={"a": 1})],
                   bound=1, check_transitions=False, name="left")
         b = PtNet(("a", "b"), [Place(0, puts={"a": 1}, takes={"b": 1})],
                   bound=1, check_transitions=False, name="right")
-        u = net_union(a, b)
+        u = PtNet(("a", "b"), a.places + b.places, bound=1, check_transitions=False)
         mu = poset_keys(executions(u, 4, 2))
         ma = poset_keys(executions(a, 4, 2))
         mb = poset_keys(executions(b, 4, 2))
