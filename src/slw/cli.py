@@ -51,10 +51,7 @@ def main(argv) -> int:
     except MemoryError:
         print("resource cap exceeded: out of memory", file=sys.stderr)
         return 2
-    except (InputError, PreconditionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
+    except (InputError, PreconditionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except RecursionError:
