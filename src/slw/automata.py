@@ -290,7 +290,9 @@ class SliceAutomaton:
     @staticmethod
     def from_text(text: str) -> "SliceAutomaton":
         """Parse the `.aut` format: a header, then state lines, then trans lines
-        that name only states declared above them."""
+        that name only states declared above them. The initial state is 0, the
+        other states follow in declaration order, and a repeated trans line
+        adds nothing."""
         rows = text_lines(text)
         n, header = next(rows, (0, ""))
         kind, *words = header.split() or [""]

@@ -2,12 +2,12 @@
 
 Each entry hashes one output that a refactor must leave alone: the literals of
 a unit alphabet, the `.aut` text of a net's behavior, a compiled formula, a
-transitive reduction or the trie of a DAG's decompositions, the words the walks return and the Boolean operations'
-`.aut` text on one net and formula, or the exit code, stdout, stderr and
-written files of one benchmark job, run in-process on the benchmark's seed-1
-inputs. A change
-that moves an output on purpose rewrites the file and names every entry that
-changed. To rewrite it, run from the root of a checkout:
+transitive reduction or the trie of a DAG's decompositions, the words the
+walks return and the Boolean operations' `.aut` text on one net and formula,
+or the exit code, stdout, stderr and written files of one benchmark job, run
+in-process on the benchmark's seed-1 inputs. A change that moves an output on
+purpose rewrites the file and names every entry that changed. To rewrite it,
+run from the root of a checkout:
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -134,8 +134,8 @@ def _jobs():
                 yield f"{workload}: {job.name}", text.replace(tmp, "$TMP")
 
 
-GROUPS = {"letters": _letters, "tries": _tries, "nets": _nets, "formulas": _formulas, "walks": _walks,
-          "jobs": _jobs}
+GROUPS = {"letters": _letters, "tries": _tries, "nets": _nets, "formulas": _formulas,
+          "walks": _walks, "jobs": _jobs}
 
 
 def digests(group: str) -> dict:
@@ -154,7 +154,7 @@ def test_outputs_are_unchanged(group):
 
 
 if __name__ == "__main__":
-    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    old = json.loads(GOLDEN.read_text())
     new = {group: digests(group) for group in GROUPS}
     for group in dict.fromkeys([*GROUPS, *old]):
         want, got = old.get(group, {}), new.get(group, {})
